@@ -8,9 +8,10 @@
   (non-contiguous 34×34 reads, 4-CB memcpy extraction, Listing-2 compute,
   Listing-4 aligned reads) with the write-sync and double-buffering
   variants of Table I and the component toggles of Table II.
-* :mod:`repro.core.jacobi_optimized` — the Section-VI kernel generation
+* :mod:`repro.core.stencil` — the Section-VI kernel generation
   (contiguous row reads, rotating 4-row buffer, ``cb_set_rd_ptr``
-  zero-copy).
+  zero-copy), generated from a :class:`StencilSpec`;
+  :mod:`repro.core.jacobi_optimized` runs it on Listing 2's spec.
 * :mod:`repro.core.multicore` — functional multi-core / multi-card
   execution (including the paper's missing inter-card halos).
 * :mod:`repro.core.solver` — the :class:`JacobiSolver` facade.

@@ -1,35 +1,44 @@
-"""Generic weighted 5-point stencils on the optimised dataflow.
+"""Spec-driven 3×3 stencils on the Section-VI dataflow.
 
-The paper's future work: "We are now looking at more complex stencil
-algorithms, such as atmospheric advection, on the Grayskull."  This
-module generalises the Section-VI kernel from the fixed Jacobi average to
-any 5-point stencil
+One kernel family serves every stencil in the package: the paper's
+Listing-2 Jacobi (:class:`~repro.core.jacobi_optimized.OptimizedJacobiRunner`
+is a thin façade over :class:`StencilRunner`), explicit diffusion, and
+first-order upwind advection — the paper's future work: "We are now
+looking at more complex stencil algorithms, such as atmospheric
+advection, on the Grayskull."
 
-    out[y, x] = c·u[y, x] + w·u[y, x−1] + e·u[y, x+1]
-              + n·u[y−1, x] + s·u[y+1, x]
+A :class:`StencilSpec` is an ordered tuple of ``(scale, taps)`` groups.
+A tap is a ``(dy, dx)`` offset within the 3×3 neighbourhood (the
+constants :data:`C`, :data:`W`, :data:`E`, :data:`N`, :data:`S` and the
+diagonals).  The spec fixes the evaluation order exactly::
 
-with BF16 coefficients.  The dataflow is unchanged — contiguous row
-reads, rotating 4-row buffer, ``cb_set_rd_ptr`` zero-copy aliases (the
-centre term is simply a fifth alias at element offset 1) — only the
-compute kernel's FPU program is generated from the coefficient set:
-one ``mul_tiles`` against a constant CB per non-zero term, chained with
-``add_tiles`` through the intermediate CB.
+    gₖ  = scaleₖ · (t₀ + t₁ + …)     taps summed left to right, then scaled
+    out = g₀ + g₁ + … (+ rhs)        groups added in order, the RHS last
 
-Built-in specs: Jacobi/Laplace diffusion, explicit heat diffusion
-(``u + α∇²u``) and first-order upwind advection — the paper's named
-target.
+and its ``rounding`` says where that chain rounds.  ``"pack"`` rounds
+every op to the element type, as each ``pack_tile`` to a CB does
+(Listing 2); ``"dst"`` accumulates one group in the FP32 destination
+register and rounds once (the paper's rejected ``accumulate_in_dst``
+ablation).  Listing 2 is ``((0.25, (W, E, N, S)),)``: add first, then
+scale.  Weighted stencils ``Σ cₖ·uₖ`` are one singleton group per
+non-zero coefficient in C, W, E, N, S order: multiply first, then add.
 
-Note on rounding: the generic kernel's rounding chain is
-``r = bf16(c₀·t₀); r = bf16(bf16(cₖ·tₖ) + r)…``, which differs from
-Listing 2's add-first order, so ``StencilSpec.jacobi()`` agrees with the
-dedicated Jacobi kernel to BF16 tolerance but not bit-for-bit.  The
-bit-exact oracle for *this* kernel is :func:`stencil_step_bf16`.
+Both the device program and the host reference come from the spec, so
+they agree bit for bit in BF16 and in FP32 (the Wormhole-precision
+mode): :func:`stencil_step_bf16` / :func:`stencil_step_fp32` replay the
+chain through one evaluator.
+
+The dataflow never changes: contiguous row reads into a rotating 4-row
+buffer, and ``cb_set_rd_ptr`` zero-copy aliases — every tap is one
+input CB pointed into the buffer at its row and element offset.  The
+compute kernel's FPU program is generated from the groups.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,13 +47,7 @@ from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
 from repro.core.decomposition import SubDomain, split_domain
 from repro.core.grid import AlignedDomain, LaplaceProblem
 from repro.core.jacobi_initial import DeviceRunResult
-from repro.dtypes.bf16 import (
-    BF16_BYTES,
-    bf16_add,
-    bf16_mul,
-    bf16_round,
-    f32_to_bits,
-)
+from repro.dtypes.bf16 import bf16_round, bits_to_f32, f32_to_bits
 from repro.dtypes.tiles import TILE_ELEMS
 from repro.sim.resources import Semaphore
 from repro.ttmetal import (
@@ -60,59 +63,91 @@ from repro.ttmetal import (
 )
 
 __all__ = ["StencilSpec", "StencilRunner", "stencil_step_bf16",
-           "stencil_solve_bf16", "stencil_step_fp32", "stencil_solve_fp32"]
+           "stencil_solve_bf16", "stencil_step_fp32", "stencil_solve_fp32",
+           "C", "W", "E", "N", "S", "NW", "NE", "SW", "SE"]
 
-# CB ids: inputs 0-4 (W, E, N, S, C), RHS field 5, coefficient constants
-# 8-12, intermediates 24-25, output 16.
-CB_W, CB_E, CB_N, CB_S, CB_C = 0, 1, 2, 3, 4
-CB_RHS = 5
-CB_COEF_BASE = 8
+Tap = Tuple[int, int]
+
+#: taps: ``(dy, dx)`` offsets within the 3×3 neighbourhood
+C, W, E, N, S = (0, 0), (0, -1), (0, 1), (-1, 0), (1, 0)
+NW, NE, SW, SE = (-1, -1), (-1, 1), (1, -1), (1, 1)
+_NEIGHBOURHOOD = frozenset((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
+
+# Fixed CB ids: output 16, intermediates 24-25.  Inputs (one per tap),
+# scale constants (one per group) and the RHS field take the free ids
+# from 0 upward, in that order.
 CB_OUT0 = 16
 CB_INTERMED, CB_INTERMED2 = 24, 25
-#: column-drain semaphore (see jacobi_optimized.SEM_COLUMN)
+#: compute increments this after finishing each chunk column; the reader
+#: waits on it before priming the next column's rows into the rotating
+#: buffer (otherwise the prime could overwrite slots the consumer is
+#: still aliasing on the previous column's final rows).
 SEM_COLUMN = 1
+#: rotating local-buffer depth (the paper allocates four batches).
 N_SLOTS = 4
+#: in-CB pages: 2 ⇒ the reader prefetches one row ahead of the consumer,
+#: which is exactly the slot-reuse safety margin of the 4-deep buffer.
 IN_PAGES = 2
+_N_CBS = 32
 
-#: term order: (input CB, coefficient attribute, alias element offset
-#: within the row window, row role: -1 above / 0 centre / +1 below)
-_TERMS: List[Tuple[int, str, int, int]] = [
-    (CB_C, "center", 1, 0),
-    (CB_W, "west", 0, 0),
-    (CB_E, "east", 2, 0),
-    (CB_N, "north", 1, -1),
-    (CB_S, "south", 1, 1),
-]
+
+def _bf16(value: float) -> float:
+    return float(bf16_round(np.float32(value)))
 
 
 @dataclass(frozen=True)
 class StencilSpec:
-    """Coefficients of a 5-point stencil (stored BF16-rounded)."""
+    """An ordered chain of ``(scale, taps)`` groups (scales BF16-rounded).
 
-    center: float
-    west: float
-    east: float
-    north: float
-    south: float
+    Each group sums its taps left to right, then multiplies by its
+    scale; the groups are then added in order.  ``rounding="pack"``
+    rounds after every op (Listing 2); ``rounding="dst"`` keeps a single
+    group in the FP32 destination register and rounds once.
+    """
+
+    groups: Tuple[Tuple[float, Tuple[Tap, ...]], ...]
+    rounding: str = "pack"
 
     def __post_init__(self):
-        for name in ("center", "west", "east", "north", "south"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, float(bf16_round(np.float32(v))))
+        groups = []
+        for scale, taps in self.groups:
+            taps = tuple(tuple(int(d) for d in t) for t in taps)
+            if not taps:
+                raise ValueError("a group needs at least one tap")
+            for t in taps:
+                if t not in _NEIGHBOURHOOD:
+                    raise ValueError(
+                        f"tap {t} is outside the 3x3 neighbourhood")
+            groups.append((_bf16(scale), taps))
+        if self.rounding not in ("pack", "dst"):
+            raise ValueError("rounding must be 'pack' or 'dst'")
+        if self.rounding == "dst" and len(groups) != 1:
+            raise ValueError("dst rounding accumulates exactly one group "
+                             "in the destination register")
+        object.__setattr__(self, "groups", tuple(groups))
 
     # -- library ------------------------------------------------------------
     @classmethod
-    def jacobi(cls) -> "StencilSpec":
-        """The paper's kernel: the average of the four neighbours."""
-        return cls(center=0.0, west=0.25, east=0.25, north=0.25, south=0.25)
+    def weighted(cls, center: float = 0.0, west: float = 0.0,
+                 east: float = 0.0, north: float = 0.0,
+                 south: float = 0.0) -> "StencilSpec":
+        """``Σ cₖ·uₖ``: one singleton group per non-zero coefficient,
+        evaluated C, W, E, N, S."""
+        terms = ((center, C), (west, W), (east, E), (north, N), (south, S))
+        return cls(tuple((c, (t,)) for c, t in terms if _bf16(c) != 0.0))
+
+    @classmethod
+    def jacobi(cls, rounding: str = "pack") -> "StencilSpec":
+        """Listing 2: ``0.25·(((W + E) + N) + S)``."""
+        return cls(((0.25, (W, E, N, S)),), rounding)
 
     @classmethod
     def diffusion(cls, alpha: float) -> "StencilSpec":
         """Explicit heat step u + α∇²u (stable for α ≤ 0.25)."""
         if not 0 < alpha <= 0.25:
             raise ValueError("explicit diffusion requires 0 < alpha <= 0.25")
-        return cls(center=1 - 4 * alpha, west=alpha, east=alpha,
-                   north=alpha, south=alpha)
+        return cls.weighted(center=1 - 4 * alpha, west=alpha, east=alpha,
+                            north=alpha, south=alpha)
 
     @classmethod
     def advection_upwind(cls, cu: float, cv: float) -> "StencilSpec":
@@ -125,103 +160,113 @@ class StencilSpec:
         if cu < 0 or cv < 0 or cu + cv > 1:
             raise ValueError("upwind stability needs cu, cv >= 0 and "
                              "cu + cv <= 1")
-        return cls(center=1 - cu - cv, west=cu, east=0.0, north=cv,
-                   south=0.0)
+        return cls.weighted(center=1 - cu - cv, west=cu, north=cv)
 
-    def active_terms(self) -> List[Tuple[int, str, int, int]]:
-        """The non-zero terms, in evaluation order."""
-        return [t for t in _TERMS if getattr(self, t[1]) != 0.0]
+    @property
+    def taps(self) -> Tuple[Tap, ...]:
+        """The distinct taps in first-use order (one input CB each)."""
+        return tuple(dict.fromkeys(t for _s, taps in self.groups
+                                   for t in taps))
+
+    def weight(self, tap: Tap) -> float:
+        """The coefficient of ``tap`` in the exact update."""
+        return float(sum(scale * taps.count(tap)
+                         for scale, taps in self.groups))
 
     def max_principle_holds(self) -> bool:
         """Positive coefficients summing to ≤ 1 ⇒ outputs stay bounded."""
-        coeffs = [self.center, self.west, self.east, self.north, self.south]
-        return all(c >= 0 for c in coeffs) and sum(coeffs) <= 1.0 + 2 ** -8
+        weights = [self.weight(t) for t in self.taps]
+        return all(w >= 0 for w in weights) and sum(weights) <= 1.0 + 2 ** -8
 
 
 # --------------------------------------------------------------------------
-# bit-exact reference
+# bit-exact reference: one evaluator for BF16 and FP32
 # --------------------------------------------------------------------------
+
+def _sweep(u: np.ndarray, spec: StencilSpec, rhs: Optional[np.ndarray],
+           rnd: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The interior after one sweep of ``spec`` over FP32 halo grid ``u``.
+
+    ``rnd`` rounds FP32 values to the element type.  ``"pack"`` rounding
+    applies it after every op, where the device packs to a CB; ``"dst"``
+    only once, where the register is packed to the output.
+    """
+    ny, nx = u.shape[0] - 2, u.shape[1] - 2
+    if rhs is not None and rhs.shape != (ny, nx):
+        raise ValueError(f"rhs must be the interior shape {(ny, nx)}, "
+                         f"got {rhs.shape}")
+    if rhs is not None and spec.rounding == "dst":
+        raise ValueError("dst rounding takes no rhs field")
+    op = rnd if spec.rounding == "pack" else (lambda x: x)
+
+    def tap(t: Tap) -> np.ndarray:
+        return u[1 + t[0]:1 + t[0] + ny, 1 + t[1]:1 + t[1] + nx]
+
+    acc = None
+    for scale, taps in spec.groups:
+        g = tap(taps[0])
+        for t in taps[1:]:
+            g = op(g + tap(t))
+        g = op(np.float32(scale) * g)
+        acc = g if acc is None else op(g + acc)
+    if rhs is not None:
+        acc = rhs if acc is None else op(rhs + acc)
+    return np.zeros((ny, nx), np.float32) if acc is None else rnd(acc)
+
 
 def stencil_step_bf16(bits: np.ndarray, spec: StencilSpec,
                       rhs_bits: Optional[np.ndarray] = None) -> np.ndarray:
-    """One sweep of the generic kernel's exact rounding chain.
+    """One BF16 sweep, bit-exact to the device kernel.
 
     ``rhs_bits`` (a ``(ny, nx)`` BF16 interior field) is added last:
-    ``out = Σ cₖ·uₖ + rhs`` — the inhomogeneous term that makes
+    ``out = Σ gₖ + rhs`` — the inhomogeneous term that makes
     defect-correction solves possible (see :mod:`repro.core.refinement`).
     """
     b = np.asarray(bits, dtype=np.uint16)
-    windows = {
-        CB_C: b[1:-1, 1:-1], CB_W: b[1:-1, :-2], CB_E: b[1:-1, 2:],
-        CB_N: b[:-2, 1:-1], CB_S: b[2:, 1:-1],
-    }
-    acc = None
-    for cb, name, _off, _row in spec.active_terms():
-        coef = np.broadcast_to(f32_to_bits(np.float32(getattr(spec, name))),
-                               windows[cb].shape)
-        term = bf16_mul(coef, windows[cb])
-        acc = term if acc is None else bf16_add(term, acc)
-    if rhs_bits is not None:
-        r = np.asarray(rhs_bits, dtype=np.uint16)
-        if r.shape != windows[CB_C].shape:
-            raise ValueError(
-                f"rhs must be the interior shape {windows[CB_C].shape}, "
-                f"got {r.shape}")
-        acc = r.copy() if acc is None else bf16_add(r, acc)
+    rhs = None if rhs_bits is None else bits_to_f32(
+        np.asarray(rhs_bits, dtype=np.uint16))
     out = b.copy()
-    out[1:-1, 1:-1] = acc if acc is not None else 0
+    out[1:-1, 1:-1] = f32_to_bits(_sweep(bits_to_f32(b), spec, rhs,
+                                         bf16_round))
     return out
+
+
+def stencil_step_fp32(grid: np.ndarray, spec: StencilSpec,
+                      rhs: Optional[np.ndarray] = None) -> np.ndarray:
+    """One FP32 sweep, bit-exact to the device's FP32 mode.
+
+    The Wormhole-precision mode: every op is a single f32 rounding
+    (packing is lossless).
+    """
+    g = np.asarray(grid, dtype=np.float32)
+    r = None if rhs is None else np.asarray(rhs, dtype=np.float32)
+    out = g.copy()
+    out[1:-1, 1:-1] = _sweep(g, spec, r, lambda x: x)
+    return out
+
+
+def _solve(step, grid: np.ndarray, spec: StencilSpec, iterations: int,
+           rhs) -> np.ndarray:
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
+    g = grid.copy()
+    for _ in range(iterations):
+        g = step(g, spec, rhs)
+    return g
 
 
 def stencil_solve_bf16(bits: np.ndarray, spec: StencilSpec,
                        iterations: int,
                        rhs_bits: Optional[np.ndarray] = None) -> np.ndarray:
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    b = np.asarray(bits, dtype=np.uint16).copy()
-    for _ in range(iterations):
-        b = stencil_step_bf16(b, spec, rhs_bits)
-    return b
-
-
-def stencil_step_fp32(grid: np.ndarray, spec: StencilSpec,
-                      rhs: Optional[np.ndarray] = None) -> np.ndarray:
-    """One FP32 sweep with the device kernel's exact operation order.
-
-    The Wormhole-precision mode: every mul/add is a single f32 rounding
-    (packing is lossless), so this matches the FP32 device execution
-    bit-for-bit.
-    """
-    g = np.asarray(grid, dtype=np.float32)
-    windows = {
-        CB_C: g[1:-1, 1:-1], CB_W: g[1:-1, :-2], CB_E: g[1:-1, 2:],
-        CB_N: g[:-2, 1:-1], CB_S: g[2:, 1:-1],
-    }
-    acc = None
-    for cb, name, _off, _row in spec.active_terms():
-        term = (np.float32(getattr(spec, name)) * windows[cb]).astype(
-            np.float32)
-        acc = term if acc is None else (term + acc).astype(np.float32)
-    if rhs is not None:
-        r = np.asarray(rhs, dtype=np.float32)
-        if r.shape != windows[CB_C].shape:
-            raise ValueError(
-                f"rhs must be the interior shape {windows[CB_C].shape}")
-        acc = r.copy() if acc is None else (r + acc).astype(np.float32)
-    out = g.copy()
-    out[1:-1, 1:-1] = acc if acc is not None else 0.0
-    return out
+    return _solve(stencil_step_bf16, np.asarray(bits, dtype=np.uint16),
+                  spec, iterations, rhs_bits)
 
 
 def stencil_solve_fp32(grid: np.ndarray, spec: StencilSpec,
                        iterations: int,
                        rhs: Optional[np.ndarray] = None) -> np.ndarray:
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    g = np.asarray(grid, dtype=np.float32).copy()
-    for _ in range(iterations):
-        g = stencil_step_fp32(g, spec, rhs)
-    return g
+    return _solve(stencil_step_fp32, np.asarray(grid, dtype=np.float32),
+                  spec, iterations, rhs)
 
 
 # --------------------------------------------------------------------------
@@ -237,182 +282,278 @@ def _chunk_columns(sub: SubDomain, chunk: int) -> List[Tuple[int, int]]:
     return cols
 
 
-def _reader_kernel(ctx):
-    layout: AlignedDomain = ctx.arg("layout")
-    spec: StencilSpec = ctx.arg("spec")
-    buffers = ctx.arg("buffers")
-    iterations: int = ctx.arg("iterations")
-    sub: SubDomain = ctx.arg("sub")
-    barrier: Semaphore = ctx.arg("barrier")
-    n_cores: int = ctx.arg("n_cores")
-    chunk: int = ctx.arg("chunk")
-    align = ctx.costs.dram_alignment
-    terms = spec.active_terms()
-    in_cbs = [t[0] for t in terms]
+class _Kernels(NamedTuple):
+    """One spec's CB ids and its generated reader and compute kernels."""
 
-    # fill one constant CB per active coefficient (element-width aware)
-    eb = layout.elem_bytes
-    coef_cb = ctx.core.cbs[CB_COEF_BASE + in_cbs[0]]
-    page_elems = coef_cb.page_size // eb
-    for cb, name, _off, _row in terms:
-        yield from ctx.cb_reserve_back(CB_COEF_BASE + cb, 1)
-        value = np.float32(getattr(spec, name))
-        if eb == 4:
-            vals = np.full(page_elems, value.view(np.uint32),
-                           dtype=np.uint32)
-            yield from ctx.l1_store_u32(
-                ctx.cb_write_ptr(CB_COEF_BASE + cb), vals)
-        else:
-            vals = np.full(page_elems, f32_to_bits(value), dtype=np.uint16)
-            yield from ctx.l1_store_u16(
-                ctx.cb_write_ptr(CB_COEF_BASE + cb), vals)
-        yield from ctx.cb_push_back(CB_COEF_BASE + cb, 1)
+    in_cbs: Tuple[int, ...]        #: one input CB per tap
+    scalar_cbs: Tuple[int, ...]    #: one scale-constant CB per group
+    rhs_cb: Optional[int]
+    reader: Callable
+    compute: Callable
 
-    cols = _chunk_columns(sub, chunk)
-    max_w = max(w for _, w in cols)
-    slot_bytes = ((max_w + 2) * eb + align - eb + 31) // 32 * 32
-    slots = ctx.core.sram.allocate(N_SLOTS * slot_bytes, align=32)
-    shared = ctx.arg("shared")
-    shared["slots"] = slots
-    shared["slot_bytes"] = slot_bytes
 
-    rhs_buf = ctx.arg("rhs_buf", default=None)
-    rhs_slots = None
-    if rhs_buf is not None:
-        rhs_slot_bytes = (max_w * eb + 31) // 32 * 32
-        rhs_slots = ctx.core.sram.allocate(2 * rhs_slot_bytes, align=32)
-        shared["rhs_slots"] = rhs_slots
-        shared["rhs_slot_bytes"] = rhs_slot_bytes
+@functools.lru_cache(maxsize=64)
+def _kernels(spec: StencilSpec, rhs: bool) -> _Kernels:
+    """Generate the reader and compute kernels of ``spec``.
 
-    def read_row(buf, x0, w, halo_row, slot):
-        off = layout.stencil_row_offset(halo_row, x0)
-        slack = off % align
-        yield from ctx.noc_read_buffer(
-            buf, off - slack, slots + slot * slot_bytes,
-            (w + 2) * eb + slack)
-        return slack
+    Memoised on the frozen spec, so every launch of one spec binds the
+    same function objects and the lint trace cache hits.  Their closure
+    constants play the role of tt-metal compile-time args: the lint
+    tracer unrolls the tap and group loops over them and sees every CB
+    id as a constant.
+    """
+    taps, n_groups = spec.taps, len(spec.groups)
+    free = [cb for cb in range(_N_CBS)
+            if cb not in (CB_OUT0, CB_INTERMED, CB_INTERMED2)]
+    if len(taps) + n_groups + rhs > len(free):
+        raise ValueError(f"the stencil needs more than {_N_CBS} CBs")
+    in_cbs = tuple(free[:len(taps)])
+    scalar_cbs = tuple(free[len(taps):len(taps) + n_groups])
+    rhs_cb = free[len(taps) + n_groups] if rhs else None
+    tap_cb = dict(zip(taps, in_cbs))
+    #: per input: (CB, window row 0/1/2 = above/centre/below, element
+    #: offset within the row window)
+    aliases = tuple((tap_cb[t], 1 + t[0], 1 + t[1]) for t in taps)
+    #: per group: (scale CB, scale, tap CBs, single tap?, scratch CB for
+    #: its tap sum, adds onto the running sum?, parks the running sum in
+    #: INTERMED for a later group or the RHS?)
+    groups = tuple(
+        (scalar_cbs[k], scale, tuple(tap_cb[t] for t in gtaps),
+         len(gtaps) == 1, CB_INTERMED if k == 0 else CB_INTERMED2,
+         k > 0, k < n_groups - 1 or rhs)
+        for k, (scale, gtaps) in enumerate(spec.groups))
+    scalars = tuple(zip(scalar_cbs, (scale for scale, _t in spec.groups)))
+    dst = spec.rounding == "dst"
 
-    def read_rhs_row(x0, w, interior_row, slot):
-        # interior element offsets are 256-bit aligned: no slack needed
-        off = layout.elem_offset(interior_row + 1, x0)
-        yield from ctx.noc_read_buffer(
-            rhs_buf, off, rhs_slots + slot * shared["rhs_slot_bytes"],
-            w * eb)
+    def _reader_kernel(ctx):
+        layout: AlignedDomain = ctx.arg("layout")
+        buffers = ctx.arg("buffers")
+        iterations: int = ctx.arg("iterations")
+        sub: SubDomain = ctx.arg("sub")
+        barrier: Semaphore = ctx.arg("barrier")
+        n_cores: int = ctx.arg("n_cores")
+        chunk: int = ctx.arg("chunk")
+        shared = ctx.arg("shared")
+        align = ctx.costs.dram_alignment
+        eb = layout.elem_bytes
 
-    for it in range(iterations):
-        yield from ctx.semaphore_wait(barrier, n_cores * it)
-        src_buf = buffers[it % 2]
-        for ci, (x0, w) in enumerate(cols):
-            if ci > 0:
-                # drain gate: consumer done with the previous column
-                yield from ctx.semaphore_wait(
-                    SEM_COLUMN, it * len(cols) + ci)
-            for cb in in_cbs:
-                yield from ctx.cb_reserve_back(cb, 1)
-            slack = 0
-            for k in range(3):
-                slack = yield from read_row(src_buf, x0, w, sub.y0 + k,
-                                            k % N_SLOTS)
-            shared["slack"] = slack
-            if rhs_buf is not None:
-                yield from ctx.cb_reserve_back(CB_RHS, 1)
-                yield from read_rhs_row(x0, w, sub.y0, 0)
-            for r in range(sub.ny):
-                yield from ctx.noc_async_read_barrier()
+        # one constant CB per group, filled once with its scale
+        for cb, scale in scalars:
+            yield from ctx.cb_reserve_back(cb, 1)
+            page_elems = ctx.core.cbs[cb].page_size // eb
+            if eb == 4:
+                vals = np.full(page_elems, np.float32(scale).view(np.uint32),
+                               dtype=np.uint32)
+                yield from ctx.l1_store_u32(ctx.cb_write_ptr(cb), vals)
+            else:
+                vals = np.full(page_elems, f32_to_bits(np.float32(scale)),
+                               dtype=np.uint16)
+                yield from ctx.l1_store_u16(ctx.cb_write_ptr(cb), vals)
+            yield from ctx.cb_push_back(cb, 1)
+
+        cols = _chunk_columns(sub, chunk)
+        max_w = max(w for _, w in cols)
+        slot_bytes = ((max_w + 2) * eb + align - eb + 31) // 32 * 32
+        slots = ctx.core.sram.allocate(N_SLOTS * slot_bytes, align=32)
+        # Tell the compute kernel where the rotating buffer lives (the
+        # paper passes it as a compile argument).
+        shared["slots"] = slots
+        shared["slot_bytes"] = slot_bytes
+        if rhs:
+            rhs_buf = ctx.arg("rhs_buf")
+            rhs_slot_bytes = (max_w * eb + 31) // 32 * 32
+            rhs_slots = ctx.core.sram.allocate(2 * rhs_slot_bytes, align=32)
+            shared["rhs_slots"] = rhs_slots
+            shared["rhs_slot_bytes"] = rhs_slot_bytes
+
+        def read_row(buf, x0, w, halo_row, slot):
+            """One contiguous (w+2)-element aligned row read into a slot."""
+            off = layout.stencil_row_offset(halo_row, x0)
+            slack = off % align
+            yield from ctx.noc_read_buffer(
+                buf, off - slack, slots + slot * slot_bytes,
+                (w + 2) * eb + slack)
+            return slack
+
+        def read_rhs_row(x0, w, interior_row, slot):
+            # interior element offsets are 256-bit aligned: no slack needed
+            off = layout.elem_offset(interior_row + 1, x0)
+            yield from ctx.noc_read_buffer(
+                rhs_buf, off, rhs_slots + slot * rhs_slot_bytes, w * eb)
+
+        for it in range(iterations):
+            yield from ctx.semaphore_wait(barrier, n_cores * it)
+            src_buf = buffers[it % 2]
+            for ci, (x0, w) in enumerate(cols):
+                # Drain gate: the consumer must have finished the previous
+                # column before its slots are overwritten by this prime.
+                if ci > 0:
+                    yield from ctx.semaphore_wait(
+                        SEM_COLUMN, it * len(cols) + ci)
                 for cb in in_cbs:
-                    yield from ctx.cb_push_back(cb, 1)
-                if rhs_buf is not None:
-                    yield from ctx.cb_push_back(CB_RHS, 1)
-                if r + 1 < sub.ny:
+                    yield from ctx.cb_reserve_back(cb, 1)
+                slack = 0
+                for k in range(3):
+                    slack = yield from read_row(src_buf, x0, w, sub.y0 + k,
+                                                k % N_SLOTS)
+                shared["slack"] = slack
+                if rhs:
+                    yield from ctx.cb_reserve_back(rhs_cb, 1)
+                    yield from read_rhs_row(x0, w, sub.y0, 0)
+                for r in range(sub.ny):
+                    # Synchronise outstanding reads at the start of the
+                    # batch, hand the three-row window to compute, then
+                    # prefetch two batches ahead.
+                    yield from ctx.noc_async_read_barrier()
                     for cb in in_cbs:
-                        yield from ctx.cb_reserve_back(cb, 1)
-                    yield from read_row(src_buf, x0, w, sub.y0 + r + 3,
-                                        (r + 3) % N_SLOTS)
-                    if rhs_buf is not None:
-                        yield from ctx.cb_reserve_back(CB_RHS, 1)
-                        yield from read_rhs_row(x0, w, sub.y0 + r + 1,
-                                                (r + 1) % 2)
+                        yield from ctx.cb_push_back(cb, 1)
+                    if rhs:
+                        yield from ctx.cb_push_back(rhs_cb, 1)
+                    if r + 1 < sub.ny:
+                        # The reserve gates slot reuse: with 2-page CBs it
+                        # succeeds only once the consumer has popped row
+                        # r-1, so overwriting slot (r+3) mod 4 (= halo row
+                        # r-1's slot) is provably safe.
+                        for cb in in_cbs:
+                            yield from ctx.cb_reserve_back(cb, 1)
+                        yield from read_row(src_buf, x0, w, sub.y0 + r + 3,
+                                            (r + 3) % N_SLOTS)
+                        if rhs:
+                            yield from ctx.cb_reserve_back(rhs_cb, 1)
+                            yield from read_rhs_row(x0, w, sub.y0 + r + 1,
+                                                    (r + 1) % 2)
 
+    def _compute_kernel(ctx):
+        iterations: int = ctx.arg("iterations")
+        sub: SubDomain = ctx.arg("sub")
+        chunk: int = ctx.arg("chunk")
+        shared = ctx.arg("shared")
+        eb = ctx.arg("layout").elem_bytes
+        dst0 = 0
 
-def _compute_kernel(ctx):
-    spec: StencilSpec = ctx.arg("spec")
-    iterations: int = ctx.arg("iterations")
-    sub: SubDomain = ctx.arg("sub")
-    chunk: int = ctx.arg("chunk")
-    shared = ctx.arg("shared")
-    terms = spec.active_terms()
-    dst0 = 0
+        cols = _chunk_columns(sub, chunk)
+        for cb in scalar_cbs:
+            yield from ctx.cb_wait_front(cb, 1)
+        yield from ctx.tile_regs_acquire()
+        for _ in range(iterations):
+            for _col in cols:
+                for r in range(sub.ny):
+                    # The fused charge region opens before the input
+                    # waits: a wait only *reads* shared CB state, so its
+                    # charge can coalesce with the pipeline's (a wait that
+                    # actually blocks flushes first and blocks at the
+                    # exact unfused instant — see _CtxBase.fused_begin).
+                    ctx.fused_begin()
+                    for cb in in_cbs:
+                        yield from ctx.cb_wait_front(cb, 1)
+                    # Zero-copy: point each input CB's unpacker at its tap
+                    # in the rotating buffer.
+                    sb = shared["slot_bytes"]
+                    base = shared["slots"] + shared["slack"]
+                    rows = (base + (r % N_SLOTS) * sb,
+                            base + ((r + 1) % N_SLOTS) * sb,
+                            base + ((r + 2) % N_SLOTS) * sb)
+                    yield from ctx.cb_set_rd_ptrs(
+                        *[(cb, rows[k] + off * eb) for cb, k, off in aliases])
 
-    cols = _chunk_columns(sub, chunk)
-    for cb, _n, _o, _r in terms:
-        yield from ctx.cb_wait_front(CB_COEF_BASE + cb, 1)
-    yield from ctx.tile_regs_acquire()
-    for _ in range(iterations):
-        for _x0, _w in cols:
-            for r in range(sub.ny):
-                base = None
-                for cb, _n, _o, _r in terms:
-                    yield from ctx.cb_wait_front(cb, 1)
-                sb = shared["slot_bytes"]
-                slack = shared["slack"]
-                slots = shared["slots"]
-                eb = ctx.arg("layout").elem_bytes
-                for cb, _name, off, row in terms:
-                    slot = (r + 1 + row) % N_SLOTS
-                    addr = slots + slot * sb + slack + off * eb
-                    yield from ctx.cb_set_rd_ptr(cb, addr)
+                    if dst:
+                        # The rejected ablation (Section IV): accumulate in
+                        # the destination registers to skip intermediate
+                        # CB packs.
+                        for _s, scale, cbs, _one, _w, _add, _park in groups:
+                            yield from ctx.copy_tile(cbs[0], 0, dst0)
+                            for cb in cbs[1:]:
+                                yield from ctx.add_tile_to_dst(cb, 0, dst0)
+                            # Switching the FPU from the accumulate
+                            # configuration to the scale pass re-programs
+                            # unpacker and math threads — ~6 op-times of
+                            # dead pipeline, which is what made this
+                            # variant a net loss on silicon.
+                            yield from ctx._elapse(6 * ctx.costs.fpu_op)
+                            ctx.fpu._dst[dst0] = (ctx.fpu._dst[dst0]
+                                                  * np.float32(scale)
+                                                  ).astype(np.float32)
+                        # The pops wake the reader: they must leave the
+                        # fused region.
+                        yield from ctx.fused_end()
+                        for cb in in_cbs:
+                            yield from ctx.cb_pop_front(cb, 1)
+                        yield from ctx.cb_reserve_back(CB_OUT0, 1)
+                        yield from ctx.pack_tile(dst0, CB_OUT0)
+                        yield from ctx.cb_push_back(CB_OUT0, 1)
+                        continue
 
-                # generated FPU program: mul then chained adds; with an
-                # RHS field the weighted sum lands in the intermediate CB
-                # and the RHS row is added last (matching the reference
-                # rounding chain).
-                has_rhs = "rhs_slots" in shared
-                final_cb = CB_INTERMED if has_rhs else CB_OUT0
-                first_cb = terms[0][0]
-                yield from ctx.mul_tiles(CB_COEF_BASE + first_cb, first_cb,
-                                         0, 0, dst0)
-                n_rest = len(terms) - 1
-                if n_rest == 0:
-                    yield from ctx.cb_reserve_back(final_cb, 1)
-                    yield from ctx.pack_tile(dst0, final_cb)
-                    yield from ctx.cb_push_back(final_cb, 1)
-                else:
-                    yield from ctx.cb_reserve_back(CB_INTERMED, 1)
-                    yield from ctx.pack_tile(dst0, CB_INTERMED)
-                    yield from ctx.cb_push_back(CB_INTERMED, 1)
-                    for k, (cb, _name, _o, _r2) in enumerate(terms[1:]):
-                        yield from ctx.mul_tiles(CB_COEF_BASE + cb, cb,
-                                                 0, 0, dst0)
-                        yield from ctx.cb_reserve_back(CB_INTERMED2, 1)
-                        yield from ctx.pack_tile(dst0, CB_INTERMED2)
-                        yield from ctx.cb_push_back(CB_INTERMED2, 1)
+                    # The generated FPU program on the aliased rows.  The
+                    # chain is core-private (FPU registers plus the
+                    # self-looped INTERMED ping-pong buffers), so its
+                    # per-op charges stay in the fused region opened above.
+                    for scalar, _v, cbs, single, work, add, park in groups:
+                        if single:
+                            yield from ctx.mul_tiles(scalar, cbs[0], 0, 0,
+                                                     dst0)
+                        else:
+                            # Listing 2: sum the taps through the scratch
+                            # CB, then scale.
+                            yield from ctx.add_tiles(cbs[0], cbs[1], 0, 0,
+                                                     dst0)
+                            yield from ctx.cb_reserve_back(work, 1)
+                            yield from ctx.pack_tile(dst0, work)
+                            yield from ctx.cb_push_back(work, 1)
+                            for cb in cbs[2:]:
+                                yield from ctx.cb_wait_front(work, 1)
+                                yield from ctx.add_tiles(cb, work, 0, 0,
+                                                         dst0)
+                                yield from ctx.cb_pop_front(work, 1)
+                                yield from ctx.cb_reserve_back(work, 1)
+                                yield from ctx.pack_tile(dst0, work)
+                                yield from ctx.cb_push_back(work, 1)
+                            yield from ctx.cb_wait_front(work, 1)
+                            yield from ctx.mul_tiles(scalar, work, 0, 0,
+                                                     dst0)
+                            yield from ctx.cb_pop_front(work, 1)
+                        if add:
+                            yield from ctx.cb_reserve_back(CB_INTERMED2, 1)
+                            yield from ctx.pack_tile(dst0, CB_INTERMED2)
+                            yield from ctx.cb_push_back(CB_INTERMED2, 1)
+                            yield from ctx.cb_wait_front(CB_INTERMED, 1)
+                            yield from ctx.cb_wait_front(CB_INTERMED2, 1)
+                            yield from ctx.add_tiles(CB_INTERMED2,
+                                                     CB_INTERMED, 0, 0, dst0)
+                            yield from ctx.cb_pop_front(CB_INTERMED2, 1)
+                            yield from ctx.cb_pop_front(CB_INTERMED, 1)
+                        if park:
+                            yield from ctx.cb_reserve_back(CB_INTERMED, 1)
+                            yield from ctx.pack_tile(dst0, CB_INTERMED)
+                            yield from ctx.cb_push_back(CB_INTERMED, 1)
+                    if rhs:
+                        yield from ctx.cb_wait_front(rhs_cb, 1)
+                        yield from ctx.cb_set_rd_ptr(
+                            rhs_cb, shared["rhs_slots"]
+                            + (r % 2) * shared["rhs_slot_bytes"])
                         yield from ctx.cb_wait_front(CB_INTERMED, 1)
-                        yield from ctx.cb_wait_front(CB_INTERMED2, 1)
-                        yield from ctx.add_tiles(CB_INTERMED2, CB_INTERMED,
-                                                 0, 0, dst0)
-                        yield from ctx.cb_pop_front(CB_INTERMED2, 1)
+                        yield from ctx.add_tiles(rhs_cb, CB_INTERMED, 0, 0,
+                                                 dst0)
                         yield from ctx.cb_pop_front(CB_INTERMED, 1)
-                        last = k == n_rest - 1
-                        out_cb = final_cb if last else CB_INTERMED
-                        yield from ctx.cb_reserve_back(out_cb, 1)
-                        yield from ctx.pack_tile(dst0, out_cb)
-                        yield from ctx.cb_push_back(out_cb, 1)
-                if has_rhs:
-                    yield from ctx.cb_wait_front(CB_RHS, 1)
-                    yield from ctx.cb_set_rd_ptr(
-                        CB_RHS, shared["rhs_slots"]
-                        + (r % 2) * shared["rhs_slot_bytes"])
-                    yield from ctx.cb_wait_front(CB_INTERMED, 1)
-                    yield from ctx.add_tiles(CB_RHS, CB_INTERMED, 0, 0, dst0)
-                    yield from ctx.cb_pop_front(CB_INTERMED, 1)
-                    yield from ctx.cb_pop_front(CB_RHS, 1)
+                        # the RHS pop wakes the reader: it must leave the
+                        # fused region
+                        yield from ctx.fused_end()
+                        yield from ctx.cb_pop_front(rhs_cb, 1)
+
+                    # OUT0 reserve + pack only mutate state the writer
+                    # never reads (the page commits at push), so they fuse
+                    # too; the push itself wakes the writer and must not.
                     yield from ctx.cb_reserve_back(CB_OUT0, 1)
                     yield from ctx.pack_tile(dst0, CB_OUT0)
+                    yield from ctx.fused_end()
                     yield from ctx.cb_push_back(CB_OUT0, 1)
-                for cb, _n, _o, _r2 in terms:
-                    yield from ctx.cb_pop_front(cb, 1)
-            yield from ctx.semaphore_inc(SEM_COLUMN, 1)
-    yield from ctx.tile_regs_release()
+
+                    for cb in in_cbs:
+                        yield from ctx.cb_pop_front(cb, 1)
+                yield from ctx.semaphore_inc(SEM_COLUMN, 1)
+        yield from ctx.tile_regs_release()
+
+    return _Kernels(in_cbs, scalar_cbs, rhs_cb, _reader_kernel,
+                    _compute_kernel)
 
 
 def _writer_kernel(ctx):
@@ -435,11 +576,23 @@ def _writer_kernel(ctx):
                     w * layout.elem_bytes)
                 yield from ctx.noc_async_write_barrier()
                 yield from ctx.cb_pop_front(CB_OUT0, 1)
+        # Global iteration barrier: every writer increments once.
         yield from ctx.semaphore_inc(barrier, 1)
 
 
+# --------------------------------------------------------------------------
+# runner
+# --------------------------------------------------------------------------
+
 class StencilRunner:
     """Host driver: any :class:`StencilSpec` on the Section-VI dataflow.
+
+    Multi-core (Section VII): the global domain is decomposed over a
+    ``cores_y × cores_x`` grid (Table VIII); cores exchange halos
+    implicitly through the shared DRAM images, with a global semaphore
+    barrier per iteration.  Buffers are interleaved across the 8 banks
+    (32 KB pages — the Table-VI sweet spot) unless ``interleaved`` is
+    off.
 
     ``dtype="fp32"`` runs the Wormhole-precision mode: 4-byte elements,
     512-element FPU tiles, lossless packing — the precision upgrade the
@@ -450,7 +603,7 @@ class StencilRunner:
                  spec: StencilSpec, cores_y: int = 1, cores_x: int = 1,
                  chunk: Optional[int] = None, interleaved: bool = True,
                  page_size: int = 32 << 10, dtype: str = "bf16"):
-        if not spec.active_terms():
+        if not spec.groups:
             raise ValueError("the stencil has no non-zero coefficients")
         if dtype not in ("bf16", "fp32"):
             raise ValueError("dtype must be 'bf16' or 'fp32'")
@@ -468,22 +621,77 @@ class StencilRunner:
         self.page_size = page_size
         self.layout = AlignedDomain(problem, elem_bytes=self.elem_bytes)
 
+    def build_program(self, sim_iters: int, d1, d2,
+                      rhs_buf=None) -> Program:
+        """Assemble the multi-core Program over the two DRAM buffers.
+
+        Exactly the launch :meth:`run` enqueues (same CB/semaphore/kernel
+        creation order, so lint findings and bench invariants match a
+        real run); callers that only need the static program — the lint
+        sweep, the ``lint_smoke`` benchmark — build it without paying
+        for simulation.
+        """
+        dev = self.device
+        kernels = _kernels(self.spec, rhs_buf is not None)
+        grid = dev.worker_grid(self.cores_y, self.cores_x)
+        subs = split_domain(self.problem.nx, self.problem.ny,
+                            self.cores_y, self.cores_x)
+        n_cores = self.cores_y * self.cores_x
+        barrier = Semaphore(dev.sim, value=0, name="iter_barrier")
+        dt = self.dtype
+
+        prog = Program(dev)
+        for iy in range(self.cores_y):
+            for ix in range(self.cores_x):
+                core = grid[iy][ix]
+                sub = subs[iy][ix]
+                page = min(self.chunk, sub.nx) * self.elem_bytes
+                for cb in kernels.in_cbs:
+                    CreateCircularBuffer(prog, core, cb, page, IN_PAGES,
+                                         dtype=dt)
+                for cb in kernels.scalar_cbs:
+                    CreateCircularBuffer(prog, core, cb, page, 1, dtype=dt)
+                if rhs_buf is not None:
+                    CreateCircularBuffer(prog, core, kernels.rhs_cb, page, 2,
+                                         dtype=dt)
+                CreateCircularBuffer(prog, core, CB_INTERMED, page, 2,
+                                     dtype=dt)
+                if len(self.spec.groups) > 1:
+                    CreateCircularBuffer(prog, core, CB_INTERMED2, page, 2,
+                                         dtype=dt)
+                CreateCircularBuffer(prog, core, CB_OUT0, page, 4, dtype=dt)
+                CreateSemaphore(prog, core, SEM_COLUMN, 0)
+                common = dict(layout=self.layout, buffers=[d1, d2],
+                              iterations=sim_iters, sub=sub, barrier=barrier,
+                              n_cores=n_cores, chunk=self.chunk, shared={})
+                if rhs_buf is not None:
+                    common["rhs_buf"] = rhs_buf
+                CreateKernel(prog, kernels.reader, core, DATA_MOVER_0, common)
+                CreateKernel(prog, kernels.compute, core, COMPUTE, common)
+                CreateKernel(prog, _writer_kernel, core, DATA_MOVER_1, common)
+        return prog
+
     def run(self, iterations: int,
             sim_iterations: Optional[int] = None,
             read_back: bool = True,
             initial_grid: Optional[np.ndarray] = None,
             rhs: Optional[np.ndarray] = None) -> DeviceRunResult:
-        """Run ``iterations`` sweeps.
+        """Run ``iterations`` sweeps, simulating the first
+        ``sim_iterations`` and extrapolating time and energy.
 
-        ``initial_grid`` (a full ``(ny+2, nx+2)`` BF16 halo grid) overrides
-        the problem's default initial state — e.g. a tracer plume for an
-        advection study.  ``rhs`` (a ``(ny, nx)`` BF16 interior field)
-        adds an inhomogeneous term to every sweep:
-        ``out = Σ cₖ·uₖ + rhs``.
+        ``initial_grid`` (a full ``(ny+2, nx+2)`` halo grid of element
+        bits) overrides the problem's default initial state — e.g. a
+        tracer plume for an advection study.  ``rhs`` (a ``(ny, nx)``
+        interior field) adds an inhomogeneous term to every sweep:
+        ``out = Σ gₖ + rhs``.
         """
         if iterations <= 0:
             raise ValueError("iterations must be positive")
         sim_iters = min(sim_iterations or iterations, iterations)
+        if sim_iters <= 0:
+            raise ValueError("sim_iterations must be positive")
+        if rhs is not None and self.spec.rounding == "dst":
+            raise ValueError("dst rounding takes no rhs field")
         dev = self.device
         img = self.layout.pack(initial_grid)
         mk = dict(interleaved=True, page_size=self.page_size) \
@@ -510,46 +718,7 @@ class StencilRunner:
             rhs_buf = create_buffer(dev, self.layout.nbytes, **mk)
             t_in += EnqueueWriteBuffer(dev, rhs_buf, self.layout.pack(halo))
 
-        grid = dev.worker_grid(self.cores_y, self.cores_x)
-        subs = split_domain(self.problem.nx, self.problem.ny,
-                            self.cores_y, self.cores_x)
-        n_cores = self.cores_y * self.cores_x
-        barrier = Semaphore(dev.sim, value=0, name="stencil_barrier")
-        terms = self.spec.active_terms()
-
-        prog = Program(dev)
-        for iy in range(self.cores_y):
-            for ix in range(self.cores_x):
-                core = grid[iy][ix]
-                sub = subs[iy][ix]
-                w = min(self.chunk, sub.nx)
-                page = w * self.elem_bytes
-                dt = self.dtype
-                for cb, _n, _o, _r in terms:
-                    CreateCircularBuffer(prog, core, cb, page, IN_PAGES,
-                                         dtype=dt)
-                    CreateCircularBuffer(prog, core, CB_COEF_BASE + cb,
-                                         page, 1, dtype=dt)
-                if rhs_buf is not None:
-                    CreateCircularBuffer(prog, core, CB_RHS, page, 2,
-                                         dtype=dt)
-                CreateCircularBuffer(prog, core, CB_INTERMED, page, 2,
-                                     dtype=dt)
-                CreateCircularBuffer(prog, core, CB_INTERMED2, page, 2,
-                                     dtype=dt)
-                CreateCircularBuffer(prog, core, CB_OUT0, page, 4, dtype=dt)
-                CreateSemaphore(prog, core, SEM_COLUMN, 0)
-                shared: dict = {}
-                common = dict(layout=self.layout, spec=self.spec,
-                              buffers=[d1, d2], iterations=sim_iters,
-                              sub=sub, barrier=barrier, n_cores=n_cores,
-                              chunk=self.chunk, shared=shared,
-                              rhs_buf=rhs_buf)
-                CreateKernel(prog, _reader_kernel, core, DATA_MOVER_0, common)
-                CreateKernel(prog, _compute_kernel, core, COMPUTE, common)
-                CreateKernel(prog, _writer_kernel, core, DATA_MOVER_1, common)
-
-        EnqueueProgram(dev, prog)
+        EnqueueProgram(dev, self.build_program(sim_iters, d1, d2, rhs_buf))
         kernel_time = Finish(dev)
         per_iter = kernel_time / sim_iters
         full_time = per_iter * iterations
@@ -570,6 +739,7 @@ class StencilRunner:
             simulated_iterations=sim_iters,
             kernel_time_s=full_time,
             transfer_time_s=t_in + t_out,
-            energy_j=dev.energy.energy_j,
+            energy_j=dev.energy.energy_j if sim_iters == iterations
+            else dev.energy.energy_j * (full_time / (kernel_time or 1.0)),
             points=self.problem.nx * self.problem.ny,
         )

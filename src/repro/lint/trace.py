@@ -8,10 +8,12 @@ interprets it into a tree of trace nodes:
 
 * :class:`Call` — one ctx API call with symbolically-evaluated operands
 * :class:`Loop` — a loop whose trip count is not statically known
-  (loops over literal tuples and small constant ``range()``s are
-  unrolled instead, so per-iteration CB balance is checked exactly)
+  (loops over literal or constant tuples and small constant ``range()``s
+  are unrolled instead, so per-iteration CB balance is checked exactly)
 * :class:`Branch` — an ``if``/``try``; every arm is traced, none is
-  pruned, so both sides of a config flag are verified
+  pruned, so both sides of a runtime config flag are verified.  Only an
+  ``if`` whose test is a constant (a literal, closure or global — the
+  analogue of a compile-time kernel argument) traces just its taken arm
 * :class:`Opaque` — a yield the analysis cannot see through
 
 Operands are symbolic values: :class:`Const` for literals and values
@@ -421,8 +423,12 @@ class _Extractor:
             self._eval(stmt.test, frame)
             self._opaque_loop(stmt.body, frame, nodes, stmt.lineno)
         elif isinstance(stmt, ast.If):
+            test = self._eval(stmt.test, frame)
+            if isinstance(test, Const):
+                arm = stmt.body if test.value else stmt.orelse
+                return any(self._stmt(s, frame, nodes) for s in arm)
             self._branch([stmt.body, stmt.orelse or []], frame, nodes,
-                         stmt.lineno, extra_eval=stmt.test)
+                         stmt.lineno)
         elif isinstance(stmt, ast.Try):
             arms = [stmt.body] + [h.body for h in stmt.handlers]
             self._branch(arms, frame, nodes, stmt.lineno)
@@ -509,7 +515,8 @@ class _Extractor:
             nodes.extend(self._block(stmt.orelse, frame))
 
     def _try_unroll(self, stmt, frame, nodes) -> bool:
-        """Unroll ``for`` over a literal tuple or a small const range."""
+        """Unroll ``for`` over a literal or constant tuple or a small
+        const range."""
         it = stmt.iter
         if isinstance(it, ast.Tuple):
             if len(it.elts) > _MAX_UNROLL or \
@@ -517,6 +524,14 @@ class _Extractor:
                 return False
             for elt in it.elts:
                 self._bind_expr(stmt.target, elt, frame)
+                nodes.extend(self._block(stmt.body, frame))
+            return True
+        if isinstance(it, (ast.Name, ast.Subscript)):
+            seq = const_value(self._eval(it, frame))
+            if not isinstance(seq, tuple) or len(seq) > _MAX_UNROLL:
+                return False
+            for value in seq:
+                self._bind_value(stmt.target, Const(value), frame)
                 nodes.extend(self._block(stmt.body, frame))
             return True
         range_val = frame.scope.get("range") if isinstance(it, ast.Call) \
@@ -561,9 +576,7 @@ class _Extractor:
                 after[name] = UNKNOWN
         nodes.append(Loop(loop_nodes, lineno))
 
-    def _branch(self, arm_stmts, frame, nodes, lineno, extra_eval=None):
-        if extra_eval is not None:
-            self._eval(extra_eval, frame)
+    def _branch(self, arm_stmts, frame, nodes, lineno):
         base = dict(frame.scope.vars)
         arm_nodes, arm_vars = [], []
         for stmts in arm_stmts:
@@ -614,7 +627,14 @@ class _Extractor:
         self._tick()
         lineno = self._line(call, frame)
         for a in call.args:
-            if isinstance(a, ast.Starred):
+            pairs = self._const_comprehension(a, frame) \
+                if isinstance(a, ast.Starred) else None
+            if pairs is not None:
+                for args in pairs:
+                    nodes.append(Call(name="cb_set_rd_ptr", args=args,
+                                      kwargs={}, lineno=lineno,
+                                      filename=frame.filename))
+            elif isinstance(a, ast.Starred):
                 self._eval(a.value, frame)
                 nodes.append(Call(name="cb_set_rd_ptr", args=[],
                                   kwargs={}, lineno=lineno,
@@ -631,6 +651,32 @@ class _Extractor:
                                   filename=frame.filename, star=True))
         for kw in call.keywords:
             self._eval(kw.value, frame)
+
+    def _const_comprehension(self, starred, frame):
+        """Operand pairs of ``*[(a, b) for x in CONST]``, else None.
+
+        A single-``for`` comprehension over a constant tuple expands to
+        one ``(a, b)`` pair per element, evaluated in a child scope so
+        the loop target does not leak into the kernel's variables.
+        """
+        comp = starred.value
+        if not isinstance(comp, (ast.ListComp, ast.GeneratorExp)) \
+                or len(comp.generators) != 1 \
+                or not isinstance(comp.elt, ast.Tuple) \
+                or len(comp.elt.elts) != 2:
+            return None
+        gen = comp.generators[0]
+        seq = const_value(self._eval(gen.iter, frame))
+        if gen.ifs or gen.is_async or not isinstance(seq, tuple) \
+                or len(seq) > _MAX_UNROLL:
+            return None
+        inner = _Frame(_Scope(frame.scope.globals, {}, parent=frame.scope),
+                       frame.offset, frame.filename)
+        pairs = []
+        for value in seq:
+            self._bind_value(gen.target, Const(value), inner)
+            pairs.append([self._eval(e, inner) for e in comp.elt.elts])
+        return pairs
 
     def _api_call(self, name, call, frame) -> Call:
         self._tick()
@@ -781,9 +827,23 @@ class _Extractor:
                 self._eval(child, frame)
             return UNKNOWN
         if isinstance(node, ast.Subscript):
-            self._eval(node.value, frame)
-            if not isinstance(node.slice, ast.Slice):
-                self._eval(node.slice, frame)
+            # constant tuples index and slice to constants
+            seq = const_value(self._eval(node.value, frame))
+            sl = node.slice
+            if isinstance(sl, ast.Slice):
+                parts = (sl.lower, sl.upper, sl.step)
+                bounds = [None if p is None else const_int(self._eval(p, frame))
+                          for p in parts]
+                known = all(b is not None or p is None
+                            for b, p in zip(bounds, parts))
+                index = slice(*bounds) if known else None
+            else:
+                index = const_int(self._eval(sl, frame))
+            if isinstance(seq, tuple) and index is not None:
+                try:
+                    return _wrap(seq[index])
+                except (IndexError, ValueError):
+                    return UNKNOWN
             return UNKNOWN
         if isinstance(node, ast.Starred):
             self._eval(node.value, frame)

@@ -8,33 +8,45 @@ from hypothesis import strategies as st
 from repro.arch.device import GrayskullDevice
 from repro.core.grid import LaplaceProblem
 from repro.core.stencil import (
+    C,
+    E,
+    N,
+    NE,
+    NW,
+    S,
+    SE,
+    SW,
+    W,
     StencilRunner,
     StencilSpec,
     stencil_solve_bf16,
     stencil_step_bf16,
 )
+from repro.cpu.jacobi import jacobi_solve_bf16
 from repro.dtypes.bf16 import bits_to_f32
 
 
 class TestStencilSpec:
     def test_jacobi_spec(self):
         s = StencilSpec.jacobi()
-        assert s.center == 0.0
-        assert s.west == s.east == s.north == s.south == 0.25
-        assert len(s.active_terms()) == 4
+        assert s.groups == ((0.25, (W, E, N, S)),)
+        assert s.weight(C) == 0.0
+        assert s.weight(W) == s.weight(E) == s.weight(N) == s.weight(S) \
+            == 0.25
+        assert len(s.taps) == 4
         assert s.max_principle_holds()
 
     def test_diffusion_spec(self):
         s = StencilSpec.diffusion(0.25)
-        assert s.center == 0.0
+        assert s.weight(C) == 0.0
         assert s.max_principle_holds()
         with pytest.raises(ValueError):
             StencilSpec.diffusion(0.3)
 
     def test_advection_spec(self):
         s = StencilSpec.advection_upwind(0.4, 0.25)
-        assert s.east == s.south == 0.0
-        assert len(s.active_terms()) == 3
+        assert s.weight(E) == s.weight(S) == 0.0
+        assert s.groups == tuple((s.weight(t), (t,)) for t in (C, W, N))
         assert s.max_principle_holds()
         with pytest.raises(ValueError):
             StencilSpec.advection_upwind(0.8, 0.5)
@@ -42,30 +54,28 @@ class TestStencilSpec:
             StencilSpec.advection_upwind(-0.1, 0.0)
 
     def test_coefficients_bf16_rounded(self):
-        s = StencilSpec(center=0.1, west=0, east=0, north=0, south=0)
+        s = StencilSpec.weighted(center=0.1)
         # 0.1 is not BF16-representable; the spec stores the rounded value
-        assert s.center != 0.1
-        assert abs(s.center - 0.1) < 0.1 * 2 ** -8
+        assert s.weight(C) != 0.1
+        assert abs(s.weight(C) - 0.1) < 0.1 * 2 ** -8
 
     def test_empty_spec_rejected_by_runner(self, device):
-        spec = StencilSpec(0, 0, 0, 0, 0)
+        spec = StencilSpec.weighted(0, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="no non-zero"):
             StencilRunner(device, LaplaceProblem(nx=32, ny=8), spec)
 
 
 class TestReference:
-    def test_jacobi_spec_close_to_listing2_kernel(self):
-        """Same maths, different rounding chain: close, not bit-equal."""
-        from repro.cpu.jacobi import jacobi_solve_bf16
+    def test_jacobi_spec_is_listing2_kernel(self):
+        """The spec carries Listing 2's add-first order: bit-equal."""
         p = LaplaceProblem(nx=32, ny=16, left=1.0)
-        a = bits_to_f32(stencil_solve_bf16(
-            p.initial_grid_bf16(), StencilSpec.jacobi(), 5))
-        b = bits_to_f32(jacobi_solve_bf16(p.initial_grid_bf16(), 5))
-        assert np.abs(a - b).max() < 0.01
+        a = stencil_solve_bf16(p.initial_grid_bf16(), StencilSpec.jacobi(), 5)
+        b = jacobi_solve_bf16(p.initial_grid_bf16(), 5)
+        assert np.array_equal(a, b)
 
     def test_identity_spec(self):
         p = LaplaceProblem(nx=32, ny=8, left=1.0, initial=0.5)
-        spec = StencilSpec(center=1.0, west=0, east=0, north=0, south=0)
+        spec = StencilSpec.weighted(center=1.0)
         out = stencil_step_bf16(p.initial_grid_bf16(), spec)
         assert np.array_equal(out, p.initial_grid_bf16())
 
@@ -155,7 +165,7 @@ class TestRhsField:
         from repro.dtypes.bf16 import f32_to_bits
         p = LaplaceProblem(nx=16, ny=8, initial=0.0, left=0.0)
         rhs = f32_to_bits(np.full((8, 16), 0.5, dtype=np.float32))
-        spec = StencilSpec(center=0.0, west=0, east=0, north=0, south=0.25)
+        spec = StencilSpec.weighted(south=0.25)
         out = stencil_step_bf16(p.initial_grid_bf16(), spec, rhs_bits=rhs)
         # all-zero field: out = 0.25*0 + rhs = 0.5 everywhere
         assert np.all(bits_to_f32(out)[1:-1, 1:-1] == 0.5)
@@ -205,3 +215,88 @@ class TestRhsField:
             2, initial_grid=grid)
         want = stencil_solve_bf16(grid, spec, 2)
         assert np.array_equal(res.grid_bits, want)
+
+
+class TestSpecValidation:
+    def test_tap_outside_neighbourhood_rejected(self):
+        with pytest.raises(ValueError, match="3x3"):
+            StencilSpec(((1.0, ((0, 2),)),))
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="at least one tap"):
+            StencilSpec(((1.0, ()),))
+
+    def test_dst_rounding_takes_one_group(self):
+        with pytest.raises(ValueError, match="exactly one group"):
+            StencilSpec(((0.5, (W,)), (0.5, (E,))), rounding="dst")
+        with pytest.raises(ValueError, match="rounding"):
+            StencilSpec(((0.5, (W,)),), rounding="f32")
+
+    def test_dst_rounding_takes_no_rhs(self, device_factory):
+        p = LaplaceProblem(nx=32, ny=8)
+        rhs = np.zeros((8, 32), dtype=np.uint16)
+        with pytest.raises(ValueError, match="no rhs"):
+            stencil_step_bf16(p.initial_grid_bf16(),
+                              StencilSpec.jacobi("dst"), rhs_bits=rhs)
+        with pytest.raises(ValueError, match="no rhs"):
+            StencilRunner(device_factory(), p,
+                          StencilSpec.jacobi("dst")).run(1, rhs=rhs)
+
+
+class TestOneKernelFamily:
+    def test_jacobi_spec_runs_the_optimised_jacobi_launch(self,
+                                                          device_factory):
+        """StencilRunner on Listing 2's spec *is* the Section-VI runner:
+        same bits, same simulated time, same simulator event count."""
+        from repro.core.jacobi_optimized import OptimizedJacobiRunner
+        p = LaplaceProblem(nx=64, ny=16, left=1.0)
+        runs = []
+        for make in (lambda d: StencilRunner(d, p, StencilSpec.jacobi(),
+                                             cores_y=2, cores_x=2),
+                     lambda d: OptimizedJacobiRunner(d, p, cores_y=2,
+                                                     cores_x=2)):
+            dev = device_factory()
+            res = make(dev).run(3)
+            runs.append((res.grid_bits, res.kernel_time_s,
+                         dev.sim.events_processed))
+        (a_bits, a_t, a_ev), (b_bits, b_t, b_ev) = runs
+        assert np.array_equal(a_bits, b_bits)
+        assert a_t == b_t and a_ev == b_ev
+        assert np.array_equal(
+            a_bits, jacobi_solve_bf16(p.initial_grid_bf16(), 3))
+
+    @pytest.mark.parametrize("cores", [(1, 1), (2, 2)])
+    def test_nine_point_spec_matches_stencil9_reference(self, device_factory,
+                                                        cores):
+        """The op library's 9-point update as a two-group spec on the
+        row-streaming dataflow: bit-identical to its independent oracle."""
+        from repro.ops.stencil9 import (AXIAL_W, DIAG_W, Stencil9Problem,
+                                        stencil9_reference_bits)
+        prob = Stencil9Problem(nx=64, ny=16, iters=3, seed=4)
+        spec = StencilSpec(((AXIAL_W, (W, E, N, S)),
+                            (DIAG_W, (NW, NE, SW, SE))))
+        halo = prob.halo_grid_bits()
+        res = StencilRunner(device_factory(), prob.laplace(), spec,
+                            cores_y=cores[0], cores_x=cores[1]).run(
+            prob.iters, initial_grid=halo)
+        assert np.array_equal(res.grid_bits,
+                              stencil9_reference_bits(halo, prob.iters))
+
+
+class TestRunnerAccounting:
+    def test_negative_sim_iterations_rejected(self, device_factory):
+        runner = StencilRunner(device_factory(), LaplaceProblem(nx=32, ny=8),
+                               StencilSpec.diffusion(0.2))
+        with pytest.raises(ValueError, match="sim_iterations"):
+            runner.run(10, sim_iterations=-2)
+
+    def test_partial_simulation_extrapolates_energy(self, device_factory):
+        """Time and energy scale together from the simulated prefix."""
+        p = LaplaceProblem(nx=32, ny=8)
+        spec = StencilSpec.advection_upwind(0.3, 0.2)
+        full = StencilRunner(device_factory(), p, spec).run(
+            2, read_back=False)
+        part = StencilRunner(device_factory(), p, spec).run(
+            10, sim_iterations=2, read_back=False)
+        assert part.kernel_time_s == pytest.approx(5 * full.kernel_time_s)
+        assert part.energy_j == pytest.approx(5 * full.energy_j)

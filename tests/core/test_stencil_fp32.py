@@ -98,13 +98,13 @@ class TestPrecisionStory:
         ratio = fp32.kernel_time_s / bf16.kernel_time_s
         assert 1.5 < ratio < 3.0
 
-    def test_fp32_matches_plain_numpy_eventually(self):
-        """FP32 device semantics equal a plain float32 Jacobi sweep (same
-        association order), so they inherit all its numerical behaviour."""
+    def test_fp32_jacobi_is_plain_numpy_sweep(self):
+        """FP32 device semantics equal a plain float32 Jacobi sweep:
+        numpy's ``0.25*(((W+E)+N)+S)`` is Listing 2's association order,
+        so they inherit all its numerical behaviour bit for bit."""
         from repro.cpu.jacobi import jacobi_solve_f32
         p = LaplaceProblem(nx=32, ny=16, left=1.0)
         ours = stencil_solve_fp32(p.initial_grid_f32(),
                                   StencilSpec.jacobi(), 50)
         plain = jacobi_solve_f32(p.initial_grid_f32(), 50)
-        # different association (mul-chain vs add-chain): close, not equal
-        assert np.abs(ours - plain).max() < 1e-5
+        assert np.array_equal(ours, plain)

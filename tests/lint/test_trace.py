@@ -106,3 +106,52 @@ class TestControlFlow:
         def kernel(ctx):
             yield from ctx.cb_reserve_back(0, 1)
         assert extract_trace(kernel) is extract_trace(kernel)
+
+
+def _closure_kernel(cbs, flag):
+    """A kernel whose CB ids and flag are closure constants."""
+    def kernel(ctx):
+        for cb in cbs:
+            yield from ctx.cb_wait_front(cb, 1)
+        if flag:
+            yield from ctx.cb_pop_front(cbs[0], 1)
+        else:
+            yield from ctx.cb_pop_front(cbs[-1], 1)
+        for cb in cbs[1:]:
+            yield from ctx.cb_pop_front(cb, 1)
+        yield from ctx.cb_set_rd_ptrs(
+            *[(cb, ctx.arg("base") + 2 * cb) for cb in cbs])
+    return kernel
+
+
+class TestClosureConstants:
+    """Closure constants act like compile-time kernel args."""
+
+    def test_constant_tuple_loops_and_indices_resolve(self):
+        got = [(c.name, const_int(c.operand(0, "cb_id")))
+               for c in calls(_closure_kernel((3, 5, 7), True))]
+        assert got[:3] == [("cb_wait_front", 3), ("cb_wait_front", 5),
+                           ("cb_wait_front", 7)]
+        assert got[3:6] == [("cb_pop_front", 3), ("cb_pop_front", 5),
+                            ("cb_pop_front", 7)]
+
+    def test_constant_if_traces_only_the_taken_arm(self):
+        trace = extract_trace(_closure_kernel((3, 5), False))
+        assert not any(isinstance(n, Branch) for n in trace.nodes)
+        pops = [const_int(c.operand(0, "cb_id"))
+                for c in iter_calls(trace.nodes) if c.name == "cb_pop_front"]
+        assert pops == [5, 5]
+
+    def test_starred_comprehension_desugars_per_pair(self):
+        ptrs = [c for c in calls(_closure_kernel((3, 5), True))
+                if c.name == "cb_set_rd_ptr"]
+        assert [const_int(c.operand(0, "cb_id")) for c in ptrs] == [3, 5]
+        assert not any(c.star for c in ptrs)
+
+    def test_runtime_flag_still_keeps_both_arms(self):
+        def kernel(ctx):
+            flag = ctx.arg("flag")
+            if flag:
+                yield from ctx.cb_reserve_back(0, 1)
+        trace = extract_trace(kernel)
+        assert any(isinstance(n, Branch) for n in trace.nodes)
