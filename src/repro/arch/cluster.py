@@ -30,12 +30,6 @@ class Cluster:
                             device_id=i)
             for i in range(n_cards)
         ]
-        # Cross-card synchronisation is invisible to the per-card clocks
-        # (each card simulates only its own launches), so barrier stalls
-        # and host-staged transfer time are recorded here by whoever
-        # coordinates the cards (repro.cluster's halo exchange).
-        self._stall_s: List[float] = [0.0] * n_cards
-        self._host_stage_s: float = 0.0
 
     @property
     def n_cards(self) -> int:
@@ -47,59 +41,25 @@ class Cluster:
     def __getitem__(self, i: int) -> GrayskullDevice:
         return self.cards[i]
 
-    # -- cross-card time ledger -------------------------------------------
-    def record_stall(self, card_index: int, dt: float) -> None:
-        """Charge ``dt`` seconds of barrier stall to one card.
-
-        A card that reaches a halo-exchange barrier early sits idle until
-        the slowest card arrives; that wait is real wall time (and real
-        idle-power draw) that the card's own simulated clock never sees.
-        """
-        if dt < 0:
-            raise ValueError("stall time must be non-negative")
-        self._stall_s[card_index] += dt
-
-    def record_host_stage(self, dt: float) -> None:
-        """Charge ``dt`` seconds of host-staged transfer (all cards idle)."""
-        if dt < 0:
-            raise ValueError("host staging time must be non-negative")
-        self._host_stage_s += dt
-
-    @property
-    def stall_s(self) -> List[float]:
-        """Per-card recorded barrier stalls (copy)."""
-        return list(self._stall_s)
-
-    @property
-    def host_stage_s(self) -> float:
-        return self._host_stage_s
-
     @property
     def wall_time_s(self) -> float:
-        """Cluster wall time: the slowest card's clock *plus* its recorded
-        barrier stalls, plus host staging time (during which every card
-        idles)."""
-        return max(card.sim.now + stall
-                   for card, stall in zip(self.cards, self._stall_s)
-                   ) + self._host_stage_s
+        """Cluster wall time: the slowest card's clock."""
+        return max(card.sim.now for card in self.cards)
 
     @property
     def energy_j(self) -> float:
-        """Total energy: each card integrates its own power over the
-        cluster wall time — every second a card is not simulating (an
-        early finish, a barrier stall, host staging) draws idle power, so
+        """Total energy: each card integrates its own power, and a card
+        that finishes before the slowest one idles until the cluster wall
+        time, so
 
             ``energy_j == Σ card.energy_j + Σ (wall − card.sim.now) · idle_w``
 
-        holds as an exact identity (pinned by the accounting regression
-        test)."""
+        Solves with halo exchange keep their barrier stalls and host
+        staging in :class:`repro.cluster.ClusterResult` instead."""
         wall = self.wall_time_s
         total = 0.0
         for card in self.cards:
             total += card.energy.energy_j
-            # Everything outside the card's own simulated activity —
-            # finishing early, waiting at the exchange barrier, host
-            # staging — is idle draw.
             idle = wall - card.sim.now
             if idle > 0:
                 total += idle * self.costs.card_power_idle_w

@@ -176,19 +176,12 @@ def _bench_noc_burst(smoke: bool) -> Tuple[float, float, Dict[str, object]]:
 # macro benchmarks
 # --------------------------------------------------------------------------
 
-def _grid_hash(grid_bits) -> str:
-    import hashlib
-
-    import numpy as np
-    return hashlib.sha256(
-        np.ascontiguousarray(grid_bits).tobytes()).hexdigest()[:16]
-
-
 def _run_jacobi(nx: int, ny: int, cores_y: int, cores_x: int,
                 iterations: int) -> Tuple[float, Dict[str, object]]:
     from repro.arch.device import GrayskullDevice
     from repro.core.grid import LaplaceProblem
     from repro.core.jacobi_optimized import OptimizedJacobiRunner
+    from repro.ops.registry import sha16
 
     dev = GrayskullDevice(dram_bank_capacity=64 << 20)
     runner = OptimizedJacobiRunner(dev, LaplaceProblem(nx=nx, ny=ny),
@@ -198,7 +191,7 @@ def _run_jacobi(nx: int, ny: int, cores_y: int, cores_x: int,
     wall = time.perf_counter() - t0
     inv = {"events": dev.sim.events_processed, "sim_now": dev.sim.now,
            "kernel_time_s": res.kernel_time_s,
-           "grid_sha": _grid_hash(res.grid_bits)}
+           "grid_sha": sha16(res.grid_bits)}
     return wall, inv
 
 
@@ -513,7 +506,6 @@ def run_benchmarks(smoke: bool = False, reps: int = 3,
     sequentially.
     """
     from repro.parallel import resolve_jobs
-    from repro.sim.engine import _fastpath_default
 
     names = list(BENCHMARKS) if not only else list(only)
     unknown = [n for n in names if n not in BENCHMARKS]
@@ -559,7 +551,6 @@ def run_benchmarks(smoke: bool = False, reps: int = 3,
         "date": datetime.date.today().isoformat(),
         "smoke": bool(smoke),
         "reps": int(reps),
-        "fastpath": _fastpath_default(),
         "python": platform.python_version(),
         # host context so parallel-era results stay interpretable; the
         # comparator ignores these (additive, schema-compatible keys).
@@ -651,7 +642,7 @@ def compare(current: dict, baseline: dict,
 def render(doc: dict) -> str:
     """A small fixed-width table of the document's results."""
     lines = [f"repro bench  schema={doc['schema']}  date={doc['date']}  "
-             f"smoke={doc['smoke']}  fastpath={doc['fastpath']}  "
+             f"smoke={doc['smoke']}  "
              f"cpus={doc.get('cpu_count', '?')}  "
              f"timings={doc.get('timings', 'sequential')}",
              f"{'benchmark':<18} {'kind':<6} {'metric':<18} "

@@ -420,9 +420,8 @@ def _parallel_opts(args) -> tuple:
 def _cmd_solve(args) -> int:
     from repro.core.grid import LaplaceProblem
     from repro.core.solver import JacobiSolver
-    cy, _, cx = args.cores.partition("x")
     solver = JacobiSolver(backend=args.backend, variant=args.variant,
-                          cores=(int(cy), int(cx or 1)),
+                          cores=_parse_core_grid(args.cores),
                           n_cards=args.cards, n_threads=args.threads)
     problem = LaplaceProblem(nx=args.nx, ny=args.ny)
     res = solver.solve(problem, args.iterations,
@@ -600,10 +599,9 @@ def _cmd_faults(args) -> int:
         print("watchdog fired:")
         print(err)
         return 0
-    cy, _, cx = args.cores.partition("x")
     cfg = CampaignConfig(
         seed=args.seed, nx=args.nx, ny=args.ny,
-        iterations=args.iterations, cores=(int(cy), int(cx or 1)),
+        iterations=args.iterations, cores=_parse_core_grid(args.cores),
         dram_flips=args.dram_flips, noc_faults=args.noc_faults,
         pcie_corruptions=args.pcie_corruptions,
         solver_flips=args.solver_flips, core_failures=args.core_failures,
@@ -956,6 +954,7 @@ def _cmd_serve_chaos(args, jobs, cache, progress) -> int:
 
 
 def _parse_core_grid(text: str):
+    """``"YxX"`` (or ``"Y"``, meaning ``"Yx1"``) as ``(Y, X)`` ints."""
     cy, _, cx = text.partition("x")
     return (int(cy), int(cx or 1))
 
@@ -1076,12 +1075,12 @@ def _cmd_cluster_solve(args) -> int:
 
     from repro.cluster import ClusterConfig, ClusterSolver
 
-    cy, _, cx = args.cards.partition("x")
-    ky, _, kx = args.cores.partition("x")
+    cards_y, cards_x = _parse_core_grid(args.cards)
+    cores_y, cores_x = _parse_core_grid(args.cores)
     cfg = ClusterConfig(
         nx=args.nx, ny=args.ny, iterations=args.iterations,
-        cards_y=int(cy), cards_x=int(cx or 1),
-        cores_y=int(ky), cores_x=int(kx or 1),
+        cards_y=cards_y, cards_x=cards_x,
+        cores_y=cores_y, cores_x=cores_x,
         timing=args.timing, exchange=args.exchange,
         checkpoint_every=args.checkpoint_every)
     res = ClusterSolver(cfg).solve()

@@ -57,6 +57,7 @@ from repro.cluster.topology import (
 )
 from repro.core.decomposition import remap_failed
 from repro.core.grid import LaplaceProblem
+from repro.core.solver import DES_CORE_LIMIT
 from repro.cpu.jacobi import jacobi_step_bf16
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
 
@@ -68,9 +69,6 @@ __all__ = [
     "ClusterSolver",
 ]
 
-#: per-card DES launches stay within the same core budget as the
-#: single-card auto backend (beyond it the Tier-2 model is the tool).
-_DES_CORE_LIMIT = 8
 _DES_ALIGN = 32  # AlignedDomain: per-card interior width must be 32-aligned
 
 
@@ -177,7 +175,7 @@ class ClusterSolver:
         self.config = config
         self.costs = costs
         self.halo = HaloExchangeModel(costs)
-        #: the arch-level Cluster behind the last DES-timed solve
+        #: the arch-level Cluster whose cards ran the last DES-timed solve
         self.last_des_cluster = None
         cfg = config
         if cfg.cores_y * cfg.cores_x > costs.n_worker_cores:
@@ -185,9 +183,9 @@ class ClusterSolver:
                 f"per-card core grid {cfg.cores_y}x{cfg.cores_x} exceeds "
                 f"{costs.n_worker_cores} worker cores")
         if cfg.timing == "des":
-            if cfg.cores_y * cfg.cores_x > _DES_CORE_LIMIT:
+            if cfg.cores_y * cfg.cores_x > DES_CORE_LIMIT:
                 raise ClusterError(
-                    f"DES timing is limited to {_DES_CORE_LIMIT} cores per "
+                    f"DES timing is limited to {DES_CORE_LIMIT} cores per "
                     f"card; use timing='model' for "
                     f"{cfg.cores_y}x{cfg.cores_x}")
         try:
@@ -347,12 +345,6 @@ class ClusterSolver:
         p_active = c.card_power_w(cfg.cores_y * cfg.cores_x)
         if des is not None:
             busy_energy = des.busy_energy(ledger.coords)
-            # Mirror barrier stalls and host staging into the arch-level
-            # Cluster so its own wall/energy ledger shows the exchange too.
-            for coord in ledger.coords:
-                des.cluster.record_stall(des.card_index[coord],
-                                         ledger.bstall[coord])
-            des.cluster.record_host_stage(ledger.host_s)
             self.last_des_cluster = des.cluster
         else:
             busy_energy = tuple(b * p_active for b in busy)
@@ -380,9 +372,6 @@ class _Ledger:
     def __init__(self, coords):
         self.coords = list(coords)
         self.busy = {c: 0.0 for c in coords}
-        #: barrier-only stalls (excludes host staging), for mirroring
-        #: into the arch-level Cluster ledger
-        self.bstall = {c: 0.0 for c in coords}
         self.host_s = 0.0
         self._wall = 0.0
 
@@ -391,7 +380,6 @@ class _Ledger:
         top = max(arrivals.values())
         for card, t in arrivals.items():
             self.busy[card] += t
-            self.bstall[card] += top - t
         self._wall += top
 
     def host_stage(self, dt: float) -> None:
@@ -441,9 +429,8 @@ class _DesBackend:
     Each physical card is a persistent :class:`GrayskullDevice` whose
     simulated clock accumulates across the per-iteration launches; block
     step times are clock deltas, so transfer and kernel time are both
-    on-card.  Stalls and host staging are mirrored into the
-    :class:`repro.arch.cluster.Cluster` ledger so its ``wall_time_s`` /
-    ``energy_j`` reflect the exchange barriers too.
+    on-card.  Barrier stalls and host staging live only in the solve's
+    ledger (:class:`ClusterResult`); the card clocks never see them.
     """
 
     def __init__(self, solver: ClusterSolver, subs, problem: LaplaceProblem):

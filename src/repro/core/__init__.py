@@ -12,8 +12,9 @@
   (contiguous row reads, rotating 4-row buffer, ``cb_set_rd_ptr``
   zero-copy), generated from a :class:`StencilSpec`;
   :mod:`repro.core.jacobi_optimized` runs it on Listing 2's spec.
-* :mod:`repro.core.multicore` — functional multi-core / multi-card
-  execution (including the paper's missing inter-card halos).
+* :mod:`repro.core.multicore` — the paper's multi-card answer with
+  frozen inter-card halos (multi-core answers on one card equal
+  :func:`repro.cpu.jacobi.jacobi_solve_bf16`).
 * :mod:`repro.core.solver` — the :class:`JacobiSolver` facade.
 """
 

@@ -1,20 +1,17 @@
-"""Functional multi-core / multi-card execution.
+"""Functional multi-card execution without inter-card halos.
 
 Timing for large core counts comes from the Tier-2 model
-(:mod:`repro.perfmodel.scaling`); the *answers* come from here.
-
-* **Multi-core, one card** — cores exchange halos through the shared DRAM
-  images with a barrier per iteration, so the decomposed sweep is
-  bit-identical to the global BF16 sweep.  :func:`run_multicore_functional`
-  computes it block-by-block anyway (and the tests assert the equivalence)
-  so the decomposition logic itself is exercised.
-* **Multi-card** — Grayskull cards cannot reach each other's memory, and
-  the paper runs the multi-card experiment *without* inter-card halo
-  exchange ("strictly speaking this will not provide the correct answer").
-  :func:`run_multicard_functional` reproduces that: each card's block keeps
-  its initial values as frozen halos at the card cuts, so the multi-card
-  answer measurably deviates from the true solution — exactly the caveat
-  the paper documents.
+(:mod:`repro.perfmodel.scaling`).  On one card the cores exchange halos
+through the shared DRAM images with a barrier per iteration, so the
+decomposed answer *is* the global BF16 sweep
+(:func:`repro.cpu.jacobi.jacobi_solve_bf16`).  Across cards it is not:
+Grayskull cards cannot reach each other's memory, and the paper runs the
+multi-card experiment *without* inter-card halo exchange ("strictly
+speaking this will not provide the correct answer").
+:func:`run_multicard_functional` reproduces that: each card's block keeps
+its initial values as frozen halos at the card cuts, so the multi-card
+answer measurably deviates from the true solution — exactly the caveat
+the paper documents.
 """
 
 from __future__ import annotations
@@ -23,33 +20,10 @@ from typing import List
 
 import numpy as np
 
-from repro.core.decomposition import split_domain, split_extent
+from repro.core.decomposition import split_extent
 from repro.cpu.jacobi import jacobi_step_bf16
 
-__all__ = ["run_multicore_functional", "run_multicard_functional"]
-
-
-def run_multicore_functional(grid_bits: np.ndarray, iterations: int,
-                             cores_y: int, cores_x: int) -> np.ndarray:
-    """Jacobi on a halo grid, computed block-by-block per iteration.
-
-    Each core's block is updated from the *previous* iterate including the
-    neighbouring blocks' rows (the DRAM halo exchange), then all blocks are
-    merged — one global barrier per iteration, as the device does.
-    """
-    u = np.asarray(grid_bits, dtype=np.uint16).copy()
-    ny, nx = u.shape[0] - 2, u.shape[1] - 2
-    subs = [s for row in split_domain(nx, ny, cores_y, cores_x) for s in row]
-    for _ in range(iterations):
-        unew = u.copy()
-        for s in subs:
-            # Block with one halo ring taken from the previous iterate.
-            block = u[s.y0:s.y0 + s.ny + 2, s.x0:s.x0 + s.nx + 2]
-            stepped = jacobi_step_bf16(block)
-            unew[s.y0 + 1:s.y0 + s.ny + 1,
-                 s.x0 + 1:s.x0 + s.nx + 1] = stepped[1:-1, 1:-1]
-        u = unew
-    return u
+__all__ = ["run_multicard_functional"]
 
 
 def run_multicard_functional(grid_bits: np.ndarray, iterations: int,

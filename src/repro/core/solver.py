@@ -9,7 +9,7 @@ backend          functional answer                    timing / energy
 ``cpu``          NumPy FP32 sweep                     calibrated Xeon model
 ``e150``         discrete-event simulation (bytes     emergent from the DES
                  through DRAM/NoC/CB/FPU)
-``e150-model``   vectorised BF16 block execution      Tier-2 scaling model
+``e150-model``   vectorised global BF16 sweep         Tier-2 scaling model
 =============== ==================================== =========================
 
 ``backend="auto"`` picks the DES for small core counts and the scaling
@@ -31,8 +31,8 @@ from repro.core.decomposition import remap_failed, split_domain
 from repro.core.grid import LaplaceProblem
 from repro.core.jacobi_initial import InitialConfig, InitialJacobiRunner
 from repro.core.jacobi_optimized import OptimizedConfig, OptimizedJacobiRunner
-from repro.core.multicore import run_multicard_functional, run_multicore_functional
-from repro.cpu.jacobi import jacobi_step_bf16, residual_f32
+from repro.core.multicore import run_multicard_functional
+from repro.cpu.jacobi import jacobi_solve_bf16, jacobi_step_bf16, residual_f32
 from repro.cpu.openmp import CpuJacobiRunner
 from repro.dtypes.bf16 import bits_to_f32
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
@@ -41,8 +41,10 @@ from repro.perfmodel.scaling import JacobiScalingModel
 __all__ = ["JacobiSolver", "JacobiResult", "ResilienceConfig",
            "ResilientJacobiResult", "solve_resilient"]
 
-#: DES is used up to this many cores under ``backend="auto"``.
-_DES_CORE_LIMIT = 8
+#: DES is used up to this many cores under ``backend="auto"``, and per
+#: card in DES-timed cluster solves (beyond it the Tier-2 model is the
+#: tool).
+DES_CORE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ class JacobiSolver:
         if self.variant == "sram":
             return "e150"  # SRAM residence only exists as real kernels
         n = self.cores[0] * self.cores[1]
-        if self.n_cards > 1 or n > _DES_CORE_LIMIT:
+        if self.n_cards > 1 or n > DES_CORE_LIMIT:
             return "e150-model"
         return "e150"
 
@@ -201,7 +203,7 @@ class JacobiSolver:
             if self.n_cards > 1:
                 bits = run_multicard_functional(bits, iterations, self.n_cards)
             else:
-                bits = run_multicore_functional(bits, iterations, cy, cx)
+                bits = jacobi_solve_bf16(bits, iterations)
             grid = bits_to_f32(bits)
         return JacobiResult(
             grid_f32=grid, backend="e150-model", variant=self.variant,

@@ -12,8 +12,8 @@ package turns that into wall-clock headroom:
   (repro version, canonical config JSON, seed), so re-running an
   unchanged sweep point is a disk read;
 * :class:`JobSpec` / :func:`register_kind` — picklable job descriptions
-  with a snapshot of the semantic env toggles
-  (``REPRO_ENGINE_FASTPATH``, ``REPRO_LINT``) asserted in the worker.
+  with a snapshot of the semantic env toggle (``REPRO_LINT``) asserted
+  in the worker.
 
 See ``docs/parallel_sweeps.md`` for the design and the determinism
 contract.

@@ -19,8 +19,8 @@ The contract that makes parallelism safe for the paper's tables:
   replacement worker is spawned and the sweep continues.
 * **Env integrity** — each job re-applies the environment snapshot
   taken when its spec was created (see :mod:`repro.parallel.jobs`), so
-  toggles like ``REPRO_ENGINE_FASTPATH`` can never drift between the
-  planning process and a worker.
+  toggles like ``REPRO_LINT`` can never drift between the planning
+  process and a worker.
 * **Observability** — every job yields a :class:`JobRecord` (worker id,
   queue wait, run wall, deterministic ``events``/``sim_now``) that
   ``repro sweep --report`` and the campaign report render.  Wall-clock

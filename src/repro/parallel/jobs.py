@@ -2,8 +2,8 @@
 
 A sweep point is described by a picklable :class:`JobSpec` — a job
 *kind* name, a config dataclass, a seed, and a snapshot of the
-process-environment toggles that can change simulation semantics
-(``REPRO_ENGINE_FASTPATH``, ``REPRO_LINT``).  The snapshot is taken when
+process-environment toggles that can change how a job runs
+(``REPRO_LINT``).  The snapshot is taken when
 the spec is *created*, so a worker process always reproduces the
 environment the sweep was planned under even if the parent's environment
 drifts between planning and execution (or the worker inherits a stale
@@ -50,15 +50,14 @@ __all__ = [
     "snapshot_env",
 ]
 
-#: environment toggles that alter which simulation code paths execute;
-#: snapshot these into every JobSpec so workers cannot inherit drifted
-#: values, and fold them into the cache key (via :meth:`JobSpec.key`)
-#: so runs planned under different toggles never share cache entries.
-#: (Today both toggles are result-identical by contract — FASTPATH is
-#: bit-exact, LINT does not change results — but keying on them means
-#: a cache hit, which skips execution and hence the worker-side env
-#: assertion, can still never cross toggle values.)
-SNAPSHOT_KEYS = ("REPRO_ENGINE_FASTPATH", "REPRO_LINT")
+#: environment toggles that alter how a job runs; snapshot these into
+#: every JobSpec so workers cannot inherit drifted values, and fold them
+#: into the cache key (via :meth:`JobSpec.key`) so runs planned under
+#: different toggles never share cache entries.  ``REPRO_LINT`` does not
+#: change results, but ``strict`` raises where ``warn`` only warns, so a
+#: strict sweep must never be served cache hits recorded in warn mode (a
+#: hit skips execution and hence the worker-side env assertion).
+SNAPSHOT_KEYS = ("REPRO_LINT",)
 
 
 class EnvDriftError(RuntimeError):
@@ -79,20 +78,7 @@ def _apply_env(snapshot: Tuple[Tuple[str, Optional[str]], ...]) -> None:
 
 
 def _assert_env(snapshot: Tuple[Tuple[str, Optional[str]], ...]) -> None:
-    """Assert the applied snapshot took effect where it matters.
-
-    ``_fastpath_default`` is re-read from the environment at every
-    Simulator construction, so checking it here proves every simulator
-    the job builds will see the planned toggle.
-    """
-    from repro.sim.engine import _fastpath_default
-    want = dict(snapshot).get("REPRO_ENGINE_FASTPATH")
-    expected = (want or "1").lower() not in ("0", "false", "off", "no")
-    if _fastpath_default() != expected:
-        raise EnvDriftError(
-            f"worker REPRO_ENGINE_FASTPATH resolves to "
-            f"{_fastpath_default()} but the job was planned with "
-            f"{expected} (snapshot {dict(snapshot)!r})")
+    """Assert the applied snapshot took effect."""
     for key, value in snapshot:
         if os.environ.get(key) != value:
             raise EnvDriftError(

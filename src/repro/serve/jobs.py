@@ -2,13 +2,14 @@
 
 The event-driven service decides *when* and *where* a request runs; the
 answer itself never depends on that placement — the decomposed device
-sweep is bit-identical to the global BF16 sweep for any core allocation
-(:mod:`repro.core.multicore`).  So functional results are computed in a
-post-pass, one :class:`~repro.parallel.jobs.JobSpec` per *unique*
-problem/backend configuration, through :func:`repro.parallel.run_jobs`:
-the pool's ``-j`` fan-out and the content-addressed sweep cache both
-apply, and submission-order reassembly keeps the report byte-identical
-at any worker count.
+sweep is bit-identical to the global BF16 sweep
+(:func:`repro.cpu.jacobi.jacobi_solve_bf16`) for any core allocation.
+So functional results are computed in a post-pass, one
+:class:`~repro.parallel.jobs.JobSpec` per *unique* problem/backend
+configuration, through :func:`repro.parallel.run_jobs`: the pool's
+``-j`` fan-out and the content-addressed sweep cache both apply, and
+submission-order reassembly keeps the report byte-identical at any
+worker count.
 
 The payload per solve is the determinism fingerprint the report embeds:
 a SHA-256 of the final grid bits, the FP32 residual, and the interior

@@ -17,7 +17,7 @@ Two pieces:
   queued requests cost ``max_i t_i(slice_i)`` instead of
   ``sum_i t_i(full grid)``.  Packing never changes answers — the
   decomposed sweep is bit-identical to the global one
-  (:mod:`repro.core.multicore`) — only latency.
+  (:func:`repro.cpu.jacobi.jacobi_solve_bf16`) — only latency.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ Design notes
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -46,18 +45,6 @@ class Interrupt(Exception):
 
 
 _PENDING = object()
-
-#: env toggle for the CPU fast path (``REPRO_ENGINE_FASTPATH=0`` disables).
-#: The fast path only elides host-side work (an inlined run loop, no
-#: per-event budget arithmetic); it never changes which events exist, their
-#: timestamps, or their firing order, so both settings produce bit-identical
-#: simulations — the determinism tests assert exactly that.
-_FASTPATH_OFF = ("0", "false", "off", "no")
-
-
-def _fastpath_default() -> bool:
-    return os.environ.get("REPRO_ENGINE_FASTPATH", "1").lower() \
-        not in _FASTPATH_OFF
 
 
 def _check_delay(delay: float) -> float:
@@ -333,19 +320,13 @@ class AnyOf(_Condition):
 class Simulator:
     """The event loop: a priority queue of ``(time, seq, event)``."""
 
-    def __init__(self, fastpath: Optional[bool] = None):
+    def __init__(self):
         self.now: float = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._crashed: list[tuple[Process, BaseException]] = []
         self._processes: list[Process] = []
         self.events_processed = 0
-        #: CPU fast path (inlined run loop).  Resolved per instance from
-        #: ``REPRO_ENGINE_FASTPATH`` unless overridden, so tests can compare
-        #: both modes side by side.  Either setting yields bit-identical
-        #: timestamps, event counts and results.
-        self.fastpath: bool = _fastpath_default() if fastpath is None \
-            else bool(fastpath)
 
     # -- process registry -------------------------------------------------
     def _register_process(self, proc: "Process") -> None:
@@ -429,16 +410,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, event))
 
-    def _step(self) -> None:
-        when, _seq, event = heapq.heappop(self._queue)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
-        callbacks, event.callbacks = event.callbacks, None
-        self.events_processed += 1
-        for cb in callbacks:
-            cb(event)
-
     # -- running ----------------------------------------------------------
     def run(self, until: Optional[float | Event] = None,
             max_events: Optional[int] = None) -> Any:
@@ -447,7 +418,10 @@ class Simulator:
         ``until`` may be a simulated-time deadline (float) or an
         :class:`Event` (commonly a :class:`Process`) to wait for; in the
         latter case the event's value is returned.  ``max_events`` guards
-        against runaway simulations.
+        against runaway simulations: at most that many events run, and
+        :class:`SimulationError` is raised when another one is due (so a
+        budget ``<= 0`` raises before the first event).  Each iteration
+        checks, in order, the stop event, the deadline, then the budget.
         """
         deadline: Optional[float] = None
         stop_event: Optional[Event] = None
@@ -455,50 +429,10 @@ class Simulator:
             stop_event = until
         elif until is not None:
             deadline = float(until)
+        # ``processed`` counts up from 0, so -1 never trips and a
+        # non-positive budget trips before the first event.
+        budget = -1 if max_events is None else max(max_events, 0)
 
-        if max_events is None and self.fastpath:
-            self._run_loop_fast(stop_event, deadline)
-        else:
-            budget = max_events if max_events is not None else float("inf")
-            while self._queue:
-                if stop_event is not None and stop_event.processed:
-                    break
-                when = self._queue[0][0]
-                if deadline is not None and when > deadline:
-                    self.now = deadline
-                    break
-                if budget <= 0:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at t={self.now:g}s")
-                budget -= 1
-                self._step()
-                if self._crashed:
-                    proc, exc = self._crashed[0]
-                    raise SimulationError(
-                        f"process {proc.name!r} crashed at t={self.now:g}s"
-                    ) from exc
-
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError(self._deadlock_report(stop_event))
-            if not stop_event._ok:
-                raise stop_event._value
-            return stop_event._value
-        if deadline is not None and not self._queue:
-            self.now = max(self.now, deadline)
-        return None
-
-    def _run_loop_fast(self, stop_event: Optional[Event],
-                       deadline: Optional[float]) -> None:
-        """The default run loop with ``_step`` inlined.
-
-        Semantically identical to the reference loop in :meth:`run` (same
-        pop order, same ``events_processed`` accounting, same crash and
-        deadline handling) minus the per-event budget arithmetic, method
-        dispatch and attribute traffic.  Kept textually close to
-        ``_step``/``run`` on purpose — any behavioural edit must land in
-        both loops.
-        """
         queue = self._queue
         crashed = self._crashed
         pop = heapq.heappop
@@ -511,6 +445,9 @@ class Simulator:
                 if deadline is not None and when > deadline:
                     self.now = deadline
                     break
+                if processed == budget:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} at t={self.now:g}s")
                 when, _seq, event = pop(queue)
                 if when < self.now:
                     raise SimulationError("time went backwards")
@@ -526,6 +463,16 @@ class Simulator:
                     ) from exc
         finally:
             self.events_processed += processed
+
+        if stop_event is not None:
+            if not stop_event.triggered:
+                raise SimulationError(self._deadlock_report(stop_event))
+            if not stop_event._ok:
+                raise stop_event._value
+            return stop_event._value
+        if deadline is not None and not self._queue:
+            self.now = max(self.now, deadline)
+        return None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the queue is empty."""

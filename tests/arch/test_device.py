@@ -81,6 +81,20 @@ class TestCluster:
         # card 0 idles 2 s at idle power on top of both cards' own energy
         assert e >= 2.0 * DEFAULT_COSTS.card_power_idle_w
 
+    def test_energy_identity_exact(self):
+        """Independent cards: every card idles from its own clock to the
+        slowest one's, and nothing else is charged."""
+        cluster = Cluster(3, dram_bank_capacity=1 << 20)
+        for i, card in enumerate(cluster):
+            card.sim.run(until=(i + 1) * 1e-4)
+        wall = cluster.wall_time_s
+        assert wall == cluster[2].sim.now
+        expect = sum(card.energy.energy_j
+                     + (wall - card.sim.now)
+                     * DEFAULT_COSTS.card_power_idle_w
+                     for card in cluster)
+        assert cluster.energy_j == expect
+
     def test_map(self):
         cluster = Cluster(3, dram_bank_capacity=1 << 20)
         ids = cluster.map(lambda card: card.device_id)

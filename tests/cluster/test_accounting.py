@@ -1,19 +1,17 @@
 """Accounting regression: stalled cards draw idle power, exactly.
 
-Pins the identity the tentpole fix establishes:
+:class:`~repro.cluster.ClusterResult` is the one wall/energy ledger of a
+solve with halo exchange.  These tests pin, for model and DES timing,
 
     ``energy_j == Σ busy_energy_i + Σ stall_i · idle_w``   (exact)
     ``busy_i + stall_i == wall_time_s``  for every card    (exact)
 
-both on :class:`~repro.cluster.ClusterResult` and on the arch-level
-:class:`~repro.arch.cluster.Cluster` mirror (``record_stall`` /
-``record_host_stage``), so halo-exchange barriers can never silently
-vanish from the energy ledger again.
+so halo-exchange barriers can never silently vanish from the energy
+ledger again.
 """
 
 import pytest
 
-from repro.arch.cluster import Cluster
 from repro.cluster import ClusterConfig, ClusterSolver
 from repro.perfmodel.calibration import DEFAULT_COSTS
 
@@ -24,21 +22,54 @@ def solve(**kw):
     return ClusterSolver(ClusterConfig(**defaults)).solve()
 
 
+#: DES-timed shapes: 2x1 cards x 2x2 cores, and 1x4 cards x 4x2 cores
+DES_CONFIGS = [
+    ClusterConfig(nx=64, ny=32, iterations=3, cards_y=2, cards_x=1,
+                  cores_y=2, cores_x=2, timing="des"),
+    ClusterConfig(nx=128, ny=32, iterations=2, cards_y=1, cards_x=4,
+                  cores_y=4, cores_x=2, timing="des"),
+]
+
+
+@pytest.fixture(scope="module")
+def des_solves():
+    """``(solver, result)`` for every DES shape, solved once."""
+    out = []
+    for cfg in DES_CONFIGS:
+        solver = ClusterSolver(cfg)
+        out.append((solver, solver.solve()))
+    return out
+
+
 class TestResultIdentity:
     def test_energy_identity_exact_model(self):
         res = solve()
         assert res.energy_j == res.energy_identity_j()
 
-    def test_energy_identity_exact_des(self):
-        res = solve(nx=64, ny=32, iterations=3, cards_y=2, cards_x=1,
-                    cores_y=2, cores_x=2, timing="des")
-        assert res.energy_j == pytest.approx(res.energy_identity_j(),
-                                             abs=1e-15)
+    def test_energy_identity_exact_des(self, des_solves):
+        for _, res in des_solves:
+            assert res.energy_j == res.energy_identity_j()
 
-    def test_busy_plus_stall_is_wall_per_card(self):
-        res = solve()
-        for busy, stall in zip(res.busy_s, res.stall_s):
-            assert busy + stall == res.wall_time_s
+    def test_busy_plus_stall_is_wall_per_card(self, des_solves):
+        for res in [solve()] + [res for _, res in des_solves]:
+            for busy, stall in zip(res.busy_s, res.stall_s):
+                assert busy + stall == res.wall_time_s
+
+    def test_des_cluster_holds_the_cards_that_ran(self, des_solves):
+        """``last_des_cluster`` is the N independent cards that ran the
+        launches: their clocks are the busy times, their meters the busy
+        energies, and the slowest clock is the cluster's wall time.
+        Barrier stalls and host staging exist only in the result."""
+        for solver, res in des_solves:
+            cluster = solver.last_des_cluster
+            assert cluster.n_cards == res.n_cards
+            assert res.busy_energy_j == tuple(
+                card.energy.energy_j for card in cluster.cards)
+            for busy, card in zip(res.busy_s, cluster.cards):
+                assert card.sim.now == pytest.approx(busy, rel=1e-12)
+            assert cluster.wall_time_s == max(
+                card.sim.now for card in cluster.cards)
+            assert cluster.wall_time_s < res.wall_time_s
 
     def test_stalls_include_host_staging(self):
         """Every card idles through scatter/exchange/gather, so per-card
@@ -62,57 +93,3 @@ class TestResultIdentity:
         stall_j = sum(s * res.power_idle_w for s in res.stall_s)
         busy_j = sum(res.busy_energy_j)
         assert res.energy_j == busy_j + stall_j
-
-
-class TestArchClusterMirror:
-    def test_wall_includes_recorded_stalls_and_staging(self):
-        cluster = Cluster(2)
-        cluster[0].sim.run(until=2e-3)
-        cluster[1].sim.run(until=1e-3)
-        cluster.record_stall(1, 1e-3)       # card 1 waited at the barrier
-        cluster.record_host_stage(5e-4)
-        assert cluster.wall_time_s == pytest.approx(2.5e-3)
-        assert cluster.stall_s == [0.0, 1e-3]
-        assert cluster.host_stage_s == 5e-4
-
-    def test_energy_charges_idle_for_stalled_cards(self):
-        cluster = Cluster(2)
-        cluster[0].sim.run(until=2e-3)
-        cluster[1].sim.run(until=1e-3)
-        before = cluster.energy_j
-        cluster.record_host_stage(1e-3)     # both cards idle 1 ms longer
-        after = cluster.energy_j
-        extra = after - before
-        assert extra == pytest.approx(
-            2 * 1e-3 * DEFAULT_COSTS.card_power_idle_w)
-
-    def test_energy_identity_exact(self):
-        cluster = Cluster(3)
-        for i, card in enumerate(cluster):
-            card.sim.run(until=(i + 1) * 1e-4)
-        cluster.record_stall(0, 2e-4)
-        cluster.record_host_stage(1e-4)
-        wall = cluster.wall_time_s
-        expect = sum(card.energy.energy_j
-                     + (wall - card.sim.now)
-                     * DEFAULT_COSTS.card_power_idle_w
-                     for card in cluster)
-        assert cluster.energy_j == expect
-
-    def test_negative_charges_rejected(self):
-        cluster = Cluster(1)
-        with pytest.raises(ValueError):
-            cluster.record_stall(0, -1e-9)
-        with pytest.raises(ValueError):
-            cluster.record_host_stage(-1e-9)
-
-    def test_solver_mirror_matches_result(self):
-        """The DES solver's arch-Cluster ledger agrees with its result."""
-        cfg = ClusterConfig(nx=64, ny=32, iterations=3, cards_y=2,
-                            cards_x=1, cores_y=2, cores_x=2, timing="des")
-        solver = ClusterSolver(cfg)
-        res = solver.solve()
-        mirror = solver.last_des_cluster
-        assert mirror is not None
-        assert mirror.wall_time_s == pytest.approx(res.wall_time_s)
-        assert mirror.energy_j == pytest.approx(res.energy_j)

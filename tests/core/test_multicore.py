@@ -2,14 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.grid import LaplaceProblem
-from repro.core.multicore import (
-    run_multicard_functional,
-    run_multicore_functional,
-)
+from repro.core.multicore import run_multicard_functional
+from repro.core.solver import JacobiSolver
 from repro.cpu.jacobi import jacobi_solve_bf16
 from repro.dtypes.bf16 import bits_to_f32
 
@@ -17,18 +13,13 @@ from repro.dtypes.bf16 import bits_to_f32
 class TestMulticore:
     @pytest.mark.parametrize("cy,cx", [(1, 1), (2, 2), (3, 1), (1, 4), (4, 3)])
     def test_equals_global_sweep(self, cy, cx):
-        """DRAM halo exchange with a barrier per iteration is bit-identical
-        to the global sweep."""
+        """The modelled multi-core answer is the global sweep, whatever
+        the core grid (DRAM halo exchange with a barrier per iteration)."""
         p = LaplaceProblem(nx=24, ny=24, left=1.0, top=-0.5)
-        bits = p.initial_grid_bf16()
-        got = run_multicore_functional(bits, 5, cy, cx)
-        want = jacobi_solve_bf16(bits, 5)
+        got = JacobiSolver(backend="e150-model",
+                           cores=(cy, cx)).solve(p, 5).grid_f32
+        want = bits_to_f32(jacobi_solve_bf16(p.initial_grid_bf16(), 5))
         assert np.array_equal(got, want)
-
-    def test_zero_iterations(self):
-        p = LaplaceProblem(nx=8, ny=8)
-        bits = p.initial_grid_bf16()
-        assert np.array_equal(run_multicore_functional(bits, 0, 2, 2), bits)
 
 
 class TestMulticard:
@@ -68,13 +59,3 @@ class TestMulticard:
         p = LaplaceProblem(nx=8, ny=8)
         with pytest.raises(ValueError):
             run_multicard_functional(p.initial_grid_bf16(), 1, 0)
-
-
-@settings(max_examples=20, deadline=None)
-@given(cy=st.integers(1, 4), cx=st.integers(1, 4), iters=st.integers(0, 6))
-def test_multicore_decomposition_invariant(cy, cx, iters):
-    """Property: any core grid gives the same bits as the global sweep."""
-    p = LaplaceProblem(nx=16, ny=16, left=2.0, bottom=-1.0, initial=0.25)
-    bits = p.initial_grid_bf16()
-    got = run_multicore_functional(bits, iters, cy, cx)
-    assert np.array_equal(got, jacobi_solve_bf16(bits, iters))

@@ -61,15 +61,15 @@ class TestKeys:
         # A cache hit bypasses the worker-side env assertion, so specs
         # planned under different toggles must never share an entry.
         a = job_key("stream", CountConfig(value=3), 0, version="v1",
-                    env=(("REPRO_ENGINE_FASTPATH", None),))
+                    env=(("REPRO_LINT", None),))
         b = job_key("stream", CountConfig(value=3), 0, version="v1",
-                    env=(("REPRO_ENGINE_FASTPATH", "0"),))
+                    env=(("REPRO_LINT", "strict"),))
         assert a != b
 
     def test_spec_key_includes_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_FASTPATH", raising=False)
+        monkeypatch.delenv("REPRO_LINT", raising=False)
         plain = JobSpec("_test_count", CountConfig(value=3))
-        monkeypatch.setenv("REPRO_ENGINE_FASTPATH", "0")
+        monkeypatch.setenv("REPRO_LINT", "strict")
         toggled = JobSpec("_test_count", CountConfig(value=3))
         assert plain.key("v1") != toggled.key("v1")
 

@@ -1,8 +1,7 @@
 """Satellite guard: workers must run under the *planned* environment.
 
-``REPRO_ENGINE_FASTPATH`` changes which simulator code path executes
-(and therefore ``events_processed``); a worker silently inheriting a
-drifted value would produce different observability numbers than the
+``REPRO_LINT`` decides whether a lint finding warns or raises; a worker
+silently inheriting a drifted value would run a different mode than the
 ``-j 1`` reference.  The snapshot in :class:`JobSpec` plus the assert in
 ``execute_spec`` make that impossible — these tests pin the behaviour.
 """
@@ -26,11 +25,11 @@ class EnvProbe:
 
 
 def _run_probe(config, seed):
-    return ({"fastpath": os.environ.get("REPRO_ENGINE_FASTPATH")}, {})
+    return ({"lint": os.environ.get("REPRO_LINT")}, {})
 
 
 register_kind(JobKind("_test_envprobe", _run_probe,
-                      lambda cfg, seed, payload: payload["fastpath"]),
+                      lambda cfg, seed, payload: payload["lint"]),
               replace=True)
 
 
@@ -47,18 +46,18 @@ def _invariants(outcomes):
 
 class TestSnapshot:
     def test_snapshot_covers_semantic_toggles(self):
-        assert "REPRO_ENGINE_FASTPATH" in SNAPSHOT_KEYS
+        assert SNAPSHOT_KEYS == ("REPRO_LINT",)
 
     def test_snapshot_captures_current_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_FASTPATH", "0")
-        assert dict(snapshot_env())["REPRO_ENGINE_FASTPATH"] == "0"
-        monkeypatch.delenv("REPRO_ENGINE_FASTPATH")
-        assert dict(snapshot_env())["REPRO_ENGINE_FASTPATH"] is None
+        monkeypatch.setenv("REPRO_LINT", "off")
+        assert dict(snapshot_env())["REPRO_LINT"] == "off"
+        monkeypatch.delenv("REPRO_LINT")
+        assert dict(snapshot_env())["REPRO_LINT"] is None
 
     def test_assert_env_detects_drift(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_FASTPATH", "1")
+        monkeypatch.setenv("REPRO_LINT", "warn")
         snap = snapshot_env()
-        monkeypatch.setenv("REPRO_ENGINE_FASTPATH", "0")
+        monkeypatch.setenv("REPRO_LINT", "off")
         with pytest.raises(EnvDriftError):
             _assert_env(snap)
 
@@ -67,36 +66,36 @@ class TestMixedParentEnv:
     """The ISSUE's acceptance scenario: plan, drift the parent, run -j 4."""
 
     def test_parallel_reproduces_sequential_despite_drift(self, monkeypatch):
-        # Plan the sweep with the fastpath ON (the default).
-        monkeypatch.delenv("REPRO_ENGINE_FASTPATH", raising=False)
+        # Plan the sweep with lint in its default (warn) mode.
+        monkeypatch.delenv("REPRO_LINT", raising=False)
         specs = _stream_specs()
         ref = _invariants(run_jobs(specs, jobs=1))
 
         # The parent's environment drifts before execution — a worker
-        # that forked *now* would inherit fastpath OFF.
-        monkeypatch.setenv("REPRO_ENGINE_FASTPATH", "0")
+        # that forked *now* would inherit lint OFF.
+        monkeypatch.setenv("REPRO_LINT", "off")
         got = _invariants(run_jobs(specs, jobs=4))
         assert got == ref
 
         # ...and the drifted parent value itself was not clobbered.
-        assert os.environ["REPRO_ENGINE_FASTPATH"] == "0"
+        assert os.environ["REPRO_LINT"] == "off"
 
     def test_workers_run_under_snapshot_not_parent_env(self, monkeypatch):
         # Direct probe: jobs planned with the toggle unset must see it
         # unset inside the worker even though the forked parent has since
         # set it — i.e. the snapshot wins over the inherited environment.
-        monkeypatch.delenv("REPRO_ENGINE_FASTPATH", raising=False)
+        monkeypatch.delenv("REPRO_LINT", raising=False)
         specs = [JobSpec("_test_envprobe", EnvProbe(token=i))
                  for i in range(4)]
-        monkeypatch.setenv("REPRO_ENGINE_FASTPATH", "0")
+        monkeypatch.setenv("REPRO_LINT", "off")
         outcomes = run_jobs(specs, jobs=4)
         assert [o.result for o in outcomes] == [None] * 4
 
     def test_sequential_restores_parent_env(self, monkeypatch):
         # -j 1 applies each spec's snapshot in-process; afterwards the
         # parent environment must be exactly what it was before.
-        monkeypatch.delenv("REPRO_ENGINE_FASTPATH", raising=False)
+        monkeypatch.delenv("REPRO_LINT", raising=False)
         specs = _stream_specs()
-        monkeypatch.setenv("REPRO_ENGINE_FASTPATH", "0")
+        monkeypatch.setenv("REPRO_LINT", "off")
         run_jobs(specs, jobs=1)
-        assert os.environ["REPRO_ENGINE_FASTPATH"] == "0"
+        assert os.environ["REPRO_LINT"] == "off"

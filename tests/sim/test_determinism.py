@@ -5,8 +5,7 @@ try-paths, fused charge regions, burst coalescing) is required to leave
 the *simulation* bit-identical: same final simulated time, same number
 of processed events, same solver output bits.  These tests pin that
 contract by running the Table I single-core Jacobi and a 4-core
-multicore Jacobi twice in-process and across the
-``REPRO_ENGINE_FASTPATH`` toggle.
+multicore Jacobi twice in-process.
 """
 
 import hashlib
@@ -61,37 +60,3 @@ def test_repeat_runs_bit_identical(name, run):
     """Two identical runs in one process agree on every invariant."""
     a, b = run(), run()
     assert a == b
-
-
-@pytest.mark.parametrize("name,run", WORKLOADS,
-                         ids=[w[0] for w in WORKLOADS])
-def test_fastpath_toggle_bit_identical(name, run, monkeypatch):
-    """``REPRO_ENGINE_FASTPATH=0`` and ``=1`` are indistinguishable.
-
-    The toggle gates only the inlined run loop — a CPU micro-
-    optimisation that must not change which events exist, when they
-    fire, or what the solver computes.  Exact equality on floats is
-    deliberate: "close" would hide a resequencing bug.
-    """
-    monkeypatch.setenv("REPRO_ENGINE_FASTPATH", "0")
-    slow = run()
-    monkeypatch.setenv("REPRO_ENGINE_FASTPATH", "1")
-    fast = run()
-    assert slow == fast
-
-
-def test_fastpath_constructor_override():
-    """``Simulator(fastpath=...)`` wins over the environment default."""
-    from repro.sim import Simulator
-    assert Simulator(fastpath=False).fastpath is False
-    assert Simulator(fastpath=True).fastpath is True
-
-
-@pytest.mark.parametrize("value,expected", [
-    ("0", False), ("false", False), ("off", False), ("no", False),
-    ("1", True), ("true", True), ("", True),
-])
-def test_fastpath_env_parsing(value, expected, monkeypatch):
-    from repro.sim import Simulator
-    monkeypatch.setenv("REPRO_ENGINE_FASTPATH", value)
-    assert Simulator().fastpath is expected

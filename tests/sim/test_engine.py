@@ -290,6 +290,40 @@ class TestDeterminism:
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(max_events=100)
 
+    @pytest.mark.parametrize("until", ["drain", "process", "deadline"])
+    @pytest.mark.parametrize("budget", ["exact", "one_short", "zero",
+                                        "negative"])
+    def test_max_events_budget(self, budget, until):
+        """At most ``max_events`` events run; the stop event and the
+        deadline are checked before the budget, so a run that ends
+        within it returns normally, and a budget <= 0 raises before the
+        first event."""
+        def build():
+            sim = Simulator()
+
+            def ticker():
+                for _ in range(3):
+                    yield sim.timeout(1.0)
+            proc = sim.process(ticker())
+            sim.timeout(10.0)    # keeps the queue non-empty past the stop
+            return sim, {"drain": None, "process": proc,
+                         "deadline": 2.5}[until]
+
+        ref, stop = build()
+        ref.run(until=stop)
+        needed = ref.events_processed
+        limit = {"exact": needed, "one_short": needed - 1, "zero": 0,
+                 "negative": -1}[budget]
+        sim, stop = build()
+        if budget == "exact":
+            sim.run(until=stop, max_events=limit)
+            assert (sim.now, sim.events_processed) == (ref.now, needed)
+        else:
+            with pytest.raises(SimulationError,
+                               match=f"max_events={limit} "):
+                sim.run(until=stop, max_events=limit)
+            assert sim.events_processed == max(limit, 0)
+
     def test_deadlock_detected(self, sim):
         ev = sim.event()
 

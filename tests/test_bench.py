@@ -13,7 +13,7 @@ from repro import bench
 
 def _doc(results, smoke=True):
     return {"schema": bench.SCHEMA, "date": "2026-01-01", "smoke": smoke,
-            "reps": 1, "fastpath": True, "python": "3.x",
+            "reps": 1, "python": "3.x",
             "results": results}
 
 
