@@ -8,54 +8,23 @@ Usage::
 
 Paper-scale runs print each table with the paper's numbers and the
 measured/paper ratio per cell — the data behind EXPERIMENTS.md.
+``--quick`` runs the same reduced sizes as ``repro table N --quick``.
 """
 
 import sys
 import time
 
-from repro.experiments import figures, table1, table2, table34, table567, table8
+from repro.experiments import TABLES, figures, run_table
 
 
 def run_all(quick: bool):
     results = []
     t0 = time.time()
-
-    def stamp(result):
+    for number in TABLES:
+        result = run_table(number, quick=quick)
         results.append(result)
         print(result.render())
         print(f"[{time.time() - t0:6.1f}s]\n")
-
-    if quick:
-        stamp(table1.run(nx=64, ny=64, iterations=200, sim_iterations=2))
-        stamp(table2.run(nx=64, ny=64, iterations=200, sim_iterations=2))
-        stamp(table34.run_table3(rows=64, row_elems=1024,
-                                 batch_sizes=[4096, 1024, 256, 64, 16, 4]))
-        stamp(table34.run_table4(rows=64, row_elems=1024,
-                                 batch_sizes=[4096, 1024, 256, 64, 16, 4]))
-        stamp(table567.run_table5(rows=64, row_elems=1024,
-                                  factors=(1, 2, 4, 8)))
-        stamp(table567.run_table6(rows=64, row_elems=1024,
-                                  page_sizes=[None, 32 << 10, 1 << 10],
-                                  replications=(0, 8)))
-        stamp(table567.run_table7(rows=64, row_elems=1024,
-                                  page_sizes=[None, 32 << 10],
-                                  core_counts=(1, 2, 4)))
-        stamp(table8.run(nx=1024, ny=128, iterations=50, rows=[
-            ("cpu", 1, None, None, 0, None, None),
-            ("cpu", 24, None, None, 0, None, None),
-            ("e150", 1, 1, 1, 1, None, None),
-            ("e150", 8, 2, 4, 1, None, None),
-            ("e150 x 2", 16, 4, 4, 2, None, None),
-        ]))
-    else:
-        stamp(table1.run())
-        stamp(table2.run())
-        stamp(table34.run_table3())
-        stamp(table34.run_table4())
-        stamp(table567.run_table5())
-        stamp(table567.run_table6())
-        stamp(table567.run_table7())
-        stamp(table8.run())
 
     for fig_id, text in figures.all_figures().items():
         print(f"--- {fig_id} " + "-" * 50)

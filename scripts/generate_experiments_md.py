@@ -14,7 +14,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments import figures, table1, table2, table34, table567, table8
+from repro.experiments import TABLES, figures, run_table
 
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
@@ -160,22 +160,13 @@ def main() -> None:
     # Table V doubles as the -j 1 vs -j max wall-clock measurement for
     # the preamble (cache off so both runs really compute).
     t = time.time()
-    table567.run_table5(jobs=1, cache=False)
+    run_table(5, jobs=1, cache=False)
     t5_seq = time.time() - t
 
-    for name, fn in [("table1", table1.run), ("table2", table2.run),
-                     ("table3", table34.run_table3),
-                     ("table4", table34.run_table4),
-                     ("table5", table567.run_table5),
-                     ("table6", table567.run_table6),
-                     ("table7", table567.run_table7),
-                     ("table8", table8.run)]:
+    for number in TABLES:
         t = time.time()
-        if name in ("table1", "table2"):
-            add(fn(), time.time() - t)       # not sweep-backed
-        else:
-            add(fn(jobs=jmax, cache=False), time.time() - t)
-        if name == "table5":
+        add(run_table(number, jobs=jmax, cache=False), time.time() - t)
+        if number == 5:
             t5_par = time.time() - t
 
     fig_block = ["## Figures 1–6", "",

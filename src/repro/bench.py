@@ -6,10 +6,16 @@ measures it two ways:
 
 * **micro** benchmarks time one hot path in isolation — raw engine event
   throughput, CB handshake round-trips, NoC burst issue — and report a
-  throughput (higher is better);
-* **macro** benchmarks time the paper's workloads end to end — the
-  single-core and full-grid (12x9 = 108 worker) Jacobi solves and a
-  streaming sweep — and report wall-clock seconds (lower is better).
+  counted invariant (events, pages, read requests) per wall second
+  (higher is better);
+* **macro** benchmarks time a workload end to end — the single-core and
+  full-grid (12x9 = 108 worker) Jacobi solves, a streaming sweep, and
+  the serve, chaos, cluster, ops and lint smokes — and report wall-clock
+  seconds (lower is better).
+
+Each benchmark sets up off the clock and returns ``(run, invariants)``;
+:func:`run_benchmarks` holds the only clock, around ``run()``, and
+computes ``invariants(run())`` after it stops.
 
 Every benchmark also records *invariants*: the final simulated time,
 total events processed and (for solves) a hash of the result grid.
@@ -36,7 +42,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 SCHEMA = "repro-bench/1"
@@ -60,18 +66,6 @@ class BenchResult:
     #: best-of value, so parallel-host results stay interpretable.
     rep_walls: List[float] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "metric": self.metric,
-            "value": self.value,
-            "unit": self.unit,
-            "higher_is_better": self.higher_is_better,
-            "invariants": self.invariants,
-            "rep_walls": self.rep_walls,
-        }
-
 
 @dataclass(frozen=True)
 class BenchJob:
@@ -85,11 +79,16 @@ class BenchError(RuntimeError):
     """A benchmark produced inconsistent results across repetitions."""
 
 
+#: a benchmark's set-up returns ``(run, invariants)``: ``run()`` is the
+#: only timed call, ``invariants(run())`` is computed off the clock.
+Bench = Tuple[Callable[[], object], Callable[[object], Dict[str, object]]]
+
+
 # --------------------------------------------------------------------------
 # micro benchmarks
 # --------------------------------------------------------------------------
 
-def _bench_engine(smoke: bool) -> Tuple[float, float, Dict[str, object]]:
+def _bench_engine(smoke: bool) -> Bench:
     """Raw engine throughput: one process yielding N chained timeouts."""
     from repro.sim import Simulator, Timeout
 
@@ -101,14 +100,11 @@ def _bench_engine(smoke: bool) -> Tuple[float, float, Dict[str, object]]:
             yield Timeout(sim, 1e-9)
 
     sim.process(proc(), name="bench.engine")
-    t0 = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - t0
-    inv = {"events": sim.events_processed, "sim_now": sim.now}
-    return wall, sim.events_processed / wall, inv
+    return sim.run, lambda _: {"events": sim.events_processed,
+                               "sim_now": sim.now}
 
 
-def _bench_cb_roundtrip(smoke: bool) -> Tuple[float, float, Dict[str, object]]:
+def _bench_cb_roundtrip(smoke: bool) -> Bench:
     """Producer/consumer CB handshakes through a 2-page circular buffer."""
     from repro.arch.cb import CircularBuffer
     from repro.arch.sram import Sram
@@ -131,15 +127,11 @@ def _bench_cb_roundtrip(smoke: bool) -> Tuple[float, float, Dict[str, object]]:
 
     sim.process(producer(), name="bench.cb.producer")
     sim.process(consumer(), name="bench.cb.consumer")
-    t0 = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - t0
-    inv = {"events": sim.events_processed, "sim_now": sim.now,
-           "pages": n}
-    return wall, n / wall, inv
+    return sim.run, lambda _: {"events": sim.events_processed,
+                               "sim_now": sim.now, "pages": n}
 
 
-def _bench_noc_burst(smoke: bool) -> Tuple[float, float, Dict[str, object]]:
+def _bench_noc_burst(smoke: bool) -> Bench:
     """NoC read-burst issue rate: batched contiguous DRAM page reads."""
     from repro.arch.dram import Dram
     from repro.arch.noc import Noc, ReadJob
@@ -152,7 +144,6 @@ def _bench_noc_burst(smoke: bool) -> Tuple[float, float, Dict[str, object]]:
     dram = Dram(sim, bank_capacity=8 << 20)
     noc = Noc(sim, 0, dram)
     link = noc.new_link("bench")
-    n_jobs = batches * jobs_per_batch
 
     def proc():
         for b in range(batches):
@@ -163,21 +154,18 @@ def _bench_noc_burst(smoke: bool) -> Tuple[float, float, Dict[str, object]]:
             yield noc.read_burst(link, jobs)
 
     sim.process(proc(), name="bench.noc")
-    t0 = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - t0
-    inv = {"events": sim.events_processed, "sim_now": sim.now,
-           "read_requests": noc.stats.read_requests,
-           "read_bytes": noc.stats.read_bytes}
-    return wall, n_jobs / wall, inv
+    return sim.run, lambda _: {"events": sim.events_processed,
+                               "sim_now": sim.now,
+                               "read_requests": noc.stats.read_requests,
+                               "read_bytes": noc.stats.read_bytes}
 
 
 # --------------------------------------------------------------------------
 # macro benchmarks
 # --------------------------------------------------------------------------
 
-def _run_jacobi(nx: int, ny: int, cores_y: int, cores_x: int,
-                iterations: int) -> Tuple[float, Dict[str, object]]:
+def _jacobi(nx: int, ny: int, cores_y: int, cores_x: int,
+            iterations: int) -> Bench:
     from repro.arch.device import GrayskullDevice
     from repro.core.grid import LaplaceProblem
     from repro.core.jacobi_optimized import OptimizedJacobiRunner
@@ -186,39 +174,33 @@ def _run_jacobi(nx: int, ny: int, cores_y: int, cores_x: int,
     dev = GrayskullDevice(dram_bank_capacity=64 << 20)
     runner = OptimizedJacobiRunner(dev, LaplaceProblem(nx=nx, ny=ny),
                                    cores_y=cores_y, cores_x=cores_x)
-    t0 = time.perf_counter()
-    res = runner.run(iterations)
-    wall = time.perf_counter() - t0
-    inv = {"events": dev.sim.events_processed, "sim_now": dev.sim.now,
-           "kernel_time_s": res.kernel_time_s,
-           "grid_sha": sha16(res.grid_bits)}
-    return wall, inv
+
+    def invariants(res) -> Dict[str, object]:
+        return {"events": dev.sim.events_processed, "sim_now": dev.sim.now,
+                "kernel_time_s": res.kernel_time_s,
+                "grid_sha": sha16(res.grid_bits)}
+
+    return lambda: runner.run(iterations), invariants
 
 
-def _bench_jacobi_single(smoke: bool) -> Tuple[float, float,
-                                               Dict[str, object]]:
+def _bench_jacobi_single(smoke: bool) -> Bench:
     """Single-core optimised Jacobi (the Table I/II workload shape).
 
     The smoke size is chosen so the wall time stays >~0.1 s: much
     smaller runs time mostly interpreter warm-up, and the CI regression
     gate would trip on scheduler noise rather than real slowdowns.
     """
-    wall, inv = _run_jacobi(96, 96, 1, 1, 3)
-    return wall, wall, inv
+    return _jacobi(96, 96, 1, 1, 3)
 
 
-def _bench_jacobi_multicore(smoke: bool) -> Tuple[float, float,
-                                                  Dict[str, object]]:
+def _bench_jacobi_multicore(smoke: bool) -> Bench:
     """Full-grid multicore Jacobi: 12x9 = 108 workers (4x4 in smoke)."""
     if smoke:
-        wall, inv = _run_jacobi(128, 128, 4, 4, 2)
-    else:
-        wall, inv = _run_jacobi(288, 216, 12, 9, 2)
-    return wall, wall, inv
+        return _jacobi(128, 128, 4, 4, 2)
+    return _jacobi(288, 216, 12, 9, 2)
 
 
-def _bench_stream_sweep(smoke: bool) -> Tuple[float, float,
-                                              Dict[str, object]]:
+def _bench_stream_sweep(smoke: bool) -> Bench:
     """Streaming sweep: async batched + sync single-row configurations."""
     from repro.streaming import StreamConfig, run_streaming
 
@@ -229,18 +211,21 @@ def _bench_stream_sweep(smoke: bool) -> Tuple[float, float,
         ("sync", StreamConfig(rows=rows, row_elems=1024,
                               sync_read=True, sync_write=True)),
     ]
-    inv: Dict[str, object] = {}
-    t0 = time.perf_counter()
-    for label, cfg in configs:
-        res = run_streaming(cfg)
-        inv[f"{label}_runtime_s"] = res.runtime_s
-        inv[f"{label}_read_bw"] = res.read_bw
-    wall = time.perf_counter() - t0
-    return wall, wall, inv
+
+    def run():
+        return [(label, run_streaming(cfg)) for label, cfg in configs]
+
+    def invariants(results) -> Dict[str, object]:
+        inv: Dict[str, object] = {}
+        for label, res in results:
+            inv[f"{label}_runtime_s"] = res.runtime_s
+            inv[f"{label}_read_bw"] = res.read_bw
+        return inv
+
+    return run, invariants
 
 
-def _bench_serve_smoke(smoke: bool) -> Tuple[float, float,
-                                             Dict[str, object]]:
+def _bench_serve_smoke(smoke: bool) -> Bench:
     """Serve-layer macro scenario: seeded load test with armed hangs.
 
     One closed-loop load test with two seeded device hangs, including
@@ -256,29 +241,29 @@ def _bench_serve_smoke(smoke: bool) -> Tuple[float, float,
 
     n = 48 if smoke else 192
     cfg = LoadGenConfig(mode="closed", seed=0, n_requests=n, n_clients=6)
-    t0 = time.perf_counter()
+
+    def invariants(report) -> Dict[str, object]:
+        counters = report.metrics.counters
+        return {
+            "report_sha": hashlib.sha256(
+                report.to_json_text().encode()).hexdigest()[:16],
+            "sim_now": report.duration_s,
+            "requests": len(report.outcomes),
+            "completed": counters.get("completed", 0),
+            "degraded": counters.get("degraded", 0),
+            "shed": counters.get("shed", 0),
+            "hangs": counters.get("hangs", 0),
+            "batches_multi": counters.get("batches.multi", 0),
+            "p99_total_s": report.latencies()["total_s"].get("p99", 0.0),
+        }
+
     # jobs=1 / cache=False: the post-pass must not nest pools or touch
     # the sweep cache inside a timed benchmark repetition.
-    report = run_loadgen(cfg, n_hangs=2, solve=True, jobs=1, cache=False)
-    wall = time.perf_counter() - t0
-    counters = report.metrics.counters
-    inv = {
-        "report_sha": hashlib.sha256(
-            report.to_json_text().encode()).hexdigest()[:16],
-        "sim_now": report.duration_s,
-        "requests": len(report.outcomes),
-        "completed": counters.get("completed", 0),
-        "degraded": counters.get("degraded", 0),
-        "shed": counters.get("shed", 0),
-        "hangs": counters.get("hangs", 0),
-        "batches_multi": counters.get("batches.multi", 0),
-        "p99_total_s": report.latencies()["total_s"].get("p99", 0.0),
-    }
-    return wall, wall, inv
+    return (lambda: run_loadgen(cfg, n_hangs=2, solve=True, jobs=1,
+                                cache=False)), invariants
 
 
-def _bench_chaos_smoke(smoke: bool) -> Tuple[float, float,
-                                             Dict[str, object]]:
+def _bench_chaos_smoke(smoke: bool) -> Bench:
     """Chaos-serving macro scenario: full fault vocabulary at unit
     intensity.
 
@@ -290,39 +275,40 @@ def _bench_chaos_smoke(smoke: bool) -> Tuple[float, float,
     order, health-breaker transitions or retry backoff is a semantic
     change, not noise.
     """
-    import hashlib
-
     from repro.serve import (ChaosConfig, LoadGenConfig, run_loadgen,
                              summarize_chaos_run, verify_chaos_report)
 
     n = 40 if smoke else 160
     cfg = LoadGenConfig(mode="closed", seed=3, n_requests=n, n_clients=6)
     chaos = ChaosConfig(seed=3, intensity=1.0)
-    t0 = time.perf_counter()
-    base = run_loadgen(cfg, solve=False, jobs=1, cache=False)
-    report = run_loadgen(cfg, chaos=chaos, solve=False, jobs=1,
-                         cache=False)
-    wall = time.perf_counter() - t0
-    counters = report.metrics.counters
-    base_p99 = base.latencies()["total_s"].get("p99", 0.0) or 0.0
-    p99 = report.latencies()["total_s"].get("p99", 0.0) or 0.0
-    summary = summarize_chaos_run(report, chaos.intensity)
-    inv = {
-        "report_sha": summary["report_sha"],
-        "sim_now": report.duration_s,
-        "violations": len(verify_chaos_report(report)),
-        "sdc_detected": counters.get("sdc.detected", 0),
-        "hangs": counters.get("hangs", 0),
-        "core_failures": counters.get("chaos.core_failure", 0),
-        "shed": counters.get("shed", 0),
-        "retries": counters.get("retries", 0),
-        "p99_inflation": round(p99 / base_p99, 6) if base_p99 else 0.0,
-    }
-    return wall, wall, inv
+
+    def run():
+        return (run_loadgen(cfg, solve=False, jobs=1, cache=False),
+                run_loadgen(cfg, chaos=chaos, solve=False, jobs=1,
+                            cache=False))
+
+    def invariants(reports) -> Dict[str, object]:
+        base, report = reports
+        counters = report.metrics.counters
+        base_p99 = base.latencies()["total_s"].get("p99", 0.0) or 0.0
+        p99 = report.latencies()["total_s"].get("p99", 0.0) or 0.0
+        summary = summarize_chaos_run(report, chaos.intensity)
+        return {
+            "report_sha": summary["report_sha"],
+            "sim_now": report.duration_s,
+            "violations": len(verify_chaos_report(report)),
+            "sdc_detected": counters.get("sdc.detected", 0),
+            "hangs": counters.get("hangs", 0),
+            "core_failures": counters.get("chaos.core_failure", 0),
+            "shed": counters.get("shed", 0),
+            "retries": counters.get("retries", 0),
+            "p99_inflation": round(p99 / base_p99, 6) if base_p99 else 0.0,
+        }
+
+    return run, invariants
 
 
-def _bench_cluster_smoke(smoke: bool) -> Tuple[float, float,
-                                               Dict[str, object]]:
+def _bench_cluster_smoke(smoke: bool) -> Bench:
     """Multi-card macro scenario: a weak-scaling sweep with the
     differential check inside every point.
 
@@ -343,26 +329,26 @@ def _bench_cluster_smoke(smoke: bool) -> Tuple[float, float,
     base = 32 if smoke else 64
     configs = cluster_sweep_configs("weak", (1, 2, 4), base_nx=base,
                                     base_ny=base, iterations=4)
-    t0 = time.perf_counter()
+
+    def invariants(points) -> Dict[str, object]:
+        report = render_cluster_report("weak", points)
+        text = doc_to_json(sweep_to_doc("weak", points))
+        return {
+            "report_sha": hashlib.sha256(report.encode()).hexdigest()[:16],
+            "json_sha": hashlib.sha256(text.encode()).hexdigest()[:16],
+            "points": len(points),
+            "bit_identical": sum(1 for p in points if p["bit_identical"]),
+            "exchange_bytes": sum(p["exchange_bytes"] for p in points),
+            "wall_4card_s": round(points[-1]["wall_time_s"], 12),
+        }
+
     # jobs=1 / cache=False: no nested pools or sweep-cache hits inside
     # a timed benchmark repetition.
-    points = run_cluster_sweep(configs, jobs=1, cache=False)
-    wall = time.perf_counter() - t0
-    report = render_cluster_report("weak", points)
-    text = doc_to_json(sweep_to_doc("weak", points))
-    inv = {
-        "report_sha": hashlib.sha256(report.encode()).hexdigest()[:16],
-        "json_sha": hashlib.sha256(text.encode()).hexdigest()[:16],
-        "points": len(points),
-        "bit_identical": sum(1 for p in points if p["bit_identical"]),
-        "exchange_bytes": sum(p["exchange_bytes"] for p in points),
-        "wall_4card_s": round(points[-1]["wall_time_s"], 12),
-    }
-    return wall, wall, inv
+    return (lambda: run_cluster_sweep(configs, jobs=1, cache=False)), \
+        invariants
 
 
-def _bench_ops_smoke(smoke: bool) -> Tuple[float, float,
-                                           Dict[str, object]]:
+def _bench_ops_smoke(smoke: bool) -> Bench:
     """Op-library macro scenario: every registered op, checked.
 
     One differential-checked execution per registered op (single-core in
@@ -376,26 +362,32 @@ def _bench_ops_smoke(smoke: bool) -> Tuple[float, float,
 
     size = 32 if smoke else 64
     grids = [(1, 1)] if smoke else [(1, 1), (2, 2)]
-    inv: Dict[str, object] = {}
-    t0 = time.perf_counter()
-    for spec in opslib.list_ops():
-        problem = spec.make_problem(size, 0)
-        for cores in grids:
-            try:
-                res = spec.run(problem, cores=cores)
-            except ValueError:
-                continue          # e.g. too few tiles for the core grid
-            tag = f"{spec.name}_{cores[0]}x{cores[1]}"
+
+    def run():
+        results = []
+        for spec in opslib.list_ops():
+            problem = spec.make_problem(size, 0)
+            for cores in grids:
+                try:
+                    results.append(spec.run(problem, cores=cores))
+                except ValueError:
+                    continue      # e.g. too few tiles for the core grid
+        return results
+
+    def invariants(results) -> Dict[str, object]:
+        inv: Dict[str, object] = {}
+        for res in results:
+            tag = f"{res.op}_{res.cores[0]}x{res.cores[1]}"
             inv[f"{tag}_sha"] = res.output_sha
             inv[f"{tag}_fpu_ops"] = res.fpu_ops
             inv[f"{tag}_sim_s"] = res.kernel_time_s
             inv[f"{tag}_checked"] = res.checked
-    wall = time.perf_counter() - t0
-    return wall, wall, inv
+        return inv
+
+    return run, invariants
 
 
-def _bench_lint_smoke(smoke: bool) -> Tuple[float, float,
-                                            Dict[str, object]]:
+def _bench_lint_smoke(smoke: bool) -> Bench:
     """Whole-program lint wall time over the shipped Jacobi programs.
 
     Builds (off the clock) the optimised Jacobi launch twice — single
@@ -425,40 +417,52 @@ def _bench_lint_smoke(smoke: bool) -> Tuple[float, float,
                            page_size=runner.config.page_size)
         programs.append(runner.build_program(2, d1, d2))
 
+    def invariants(reports) -> Dict[str, object]:
+        return {"findings": sum(len(r) for r in reports),
+                "programs": len(programs),
+                "kernels": sum(len(p.kernels) for p in programs),
+                "rules": len(lint.all_rules())}
+
     lint_trace._TRACE_CACHE.clear()   # cold cache: time the full analysis
-    findings = kernels = 0
-    t0 = time.perf_counter()
-    for prog in programs:
-        report = lint.lint_program(prog)
-        findings += len(report)
-        kernels += len(prog.kernels)
-    wall = time.perf_counter() - t0
-    inv = {"findings": findings, "programs": len(programs),
-           "kernels": kernels, "rules": len(lint.all_rules())}
-    return wall, wall, inv
+    return (lambda: [lint.lint_program(p) for p in programs]), invariants
 
 
 # --------------------------------------------------------------------------
 # runner
 # --------------------------------------------------------------------------
 
-#: name -> (kind, metric, unit, higher_is_better, callable)
-BENCHMARKS: Dict[str, Tuple[str, str, str, bool, Callable]] = {
-    "engine_events": ("micro", "events_per_sec", "1/s", True,
-                      _bench_engine),
-    "cb_roundtrip": ("micro", "roundtrips_per_sec", "1/s", True,
-                     _bench_cb_roundtrip),
-    "noc_burst": ("micro", "jobs_per_sec", "1/s", True, _bench_noc_burst),
-    "jacobi_single": ("macro", "wall_s", "s", False, _bench_jacobi_single),
-    "jacobi_multicore": ("macro", "wall_s", "s", False,
-                         _bench_jacobi_multicore),
-    "stream_sweep": ("macro", "wall_s", "s", False, _bench_stream_sweep),
-    "serve_smoke": ("macro", "wall_s", "s", False, _bench_serve_smoke),
-    "chaos_smoke": ("macro", "wall_s", "s", False, _bench_chaos_smoke),
-    "cluster_smoke": ("macro", "wall_s", "s", False, _bench_cluster_smoke),
-    "ops_smoke": ("macro", "wall_s", "s", False, _bench_ops_smoke),
-    "lint_smoke": ("macro", "wall_s", "s", False, _bench_lint_smoke),
+#: name -> (benchmark, metric, counted invariant).  A micro benchmark's
+#: value is its counted invariant per wall second (higher is better); a
+#: macro benchmark (counted invariant None) reports wall seconds.
+BENCHMARKS: Dict[str, Tuple[Callable[[bool], Bench], str, Optional[str]]] = {
+    "engine_events": (_bench_engine, "events_per_sec", "events"),
+    "cb_roundtrip": (_bench_cb_roundtrip, "roundtrips_per_sec", "pages"),
+    "noc_burst": (_bench_noc_burst, "jobs_per_sec", "read_requests"),
+    "jacobi_single": (_bench_jacobi_single, "wall_s", None),
+    "jacobi_multicore": (_bench_jacobi_multicore, "wall_s", None),
+    "stream_sweep": (_bench_stream_sweep, "wall_s", None),
+    "serve_smoke": (_bench_serve_smoke, "wall_s", None),
+    "chaos_smoke": (_bench_chaos_smoke, "wall_s", None),
+    "cluster_smoke": (_bench_cluster_smoke, "wall_s", None),
+    "ops_smoke": (_bench_ops_smoke, "wall_s", None),
+    "lint_smoke": (_bench_lint_smoke, "wall_s", None),
 }
+
+
+def _timed_rep(benchmark: Callable[[bool], Bench],
+               smoke: bool) -> Tuple[float, Dict[str, object]]:
+    """One repetition: set up, time ``run()``, then take the invariants."""
+    run, invariants = benchmark(smoke)
+    t0 = time.perf_counter()
+    out = run()
+    wall = time.perf_counter() - t0
+    return wall, invariants(out)
+
+
+def measure_invariants(name: str, smoke: bool) -> Dict[str, object]:
+    """Benchmark ``name``'s invariants from one untimed run."""
+    run, invariants = BENCHMARKS[name][0](smoke)
+    return invariants(run())
 
 
 def _parallel_invariant_prepass(names: List[str], smoke: bool, jobs: int,
@@ -474,7 +478,7 @@ def _parallel_invariant_prepass(names: List[str], smoke: bool, jobs: int,
     """
     from repro.parallel import JobSpec, sweep_results
 
-    macro = [n for n in names if BENCHMARKS[n][0] == "macro"]
+    macro = [n for n in names if BENCHMARKS[n][2] is None]
     if not macro:
         return {}
     if log is not None:
@@ -519,33 +523,33 @@ def run_benchmarks(smoke: bool = False, reps: int = 3,
                                               log)
     results: List[BenchResult] = []
     for name in names:
-        kind, metric, unit, higher, fn = BENCHMARKS[name]
-        best: Optional[float] = None
-        inv0: Optional[Dict[str, object]] = None
-        rep_walls: List[float] = []
-        for rep in range(max(1, reps)):
-            wall, value, inv = fn(smoke)
+        benchmark, metric, counted = BENCHMARKS[name]
+        rep_walls, inv0 = [], None
+        for _ in range(max(1, reps)):
+            wall, inv = _timed_rep(benchmark, smoke)
             rep_walls.append(wall)
-            if inv0 is None:
-                inv0 = inv
-            elif inv != inv0:
+            if inv0 is not None and inv != inv0:
                 raise BenchError(
                     f"benchmark {name!r} invariants changed between "
                     f"repetitions: {inv0!r} != {inv!r}")
-            if best is None or (value > best if higher else value < best):
-                best = value
-        assert best is not None and inv0 is not None
+            inv0 = inv
         if name in prepass and prepass[name] != inv0:
             raise BenchError(
                 f"benchmark {name!r} invariants differ between the "
                 f"parallel prepass and the sequential run: "
                 f"{prepass[name]!r} != {inv0!r}")
-        results.append(BenchResult(name=name, kind=kind, metric=metric,
-                                   value=best, unit=unit,
-                                   higher_is_better=higher,
-                                   invariants=inv0, rep_walls=rep_walls))
+        # the best repetition is the fastest one, whatever the metric
+        best = min(rep_walls)
+        micro = counted is not None
+        result = BenchResult(
+            name=name, kind="micro" if micro else "macro", metric=metric,
+            value=inv0[counted] / best if micro else best,
+            unit="1/s" if micro else "s", higher_is_better=micro,
+            invariants=inv0, rep_walls=rep_walls)
+        results.append(result)
         if log is not None:
-            log(f"  {name:<18} {metric} = {best:,.6g} {unit}")
+            log(f"  {name:<18} {metric} = {result.value:,.6g} "
+                f"{result.unit}")
     return {
         "schema": SCHEMA,
         "date": datetime.date.today().isoformat(),
@@ -559,7 +563,7 @@ def run_benchmarks(smoke: bool = False, reps: int = 3,
         "invariant_prepass": ({"jobs": n_jobs,
                                "benchmarks": sorted(prepass)}
                               if prepass else None),
-        "results": [r.to_json() for r in results],
+        "results": [asdict(r) for r in results],
     }
 
 

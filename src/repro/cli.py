@@ -15,13 +15,13 @@ Commands
 ``cluster``  multi-card halo-exchange solver: one config or scaling sweep
 ``ops``      the repro.ops workload library: run one op, or sweep them all
 
-Sweep-producing commands (``table``, ``sweep``, ``faults``, ``bench``)
-accept a global ``-j/--jobs N`` flag that fans their independent,
-deterministic sweep points out across N worker processes — output is
-byte-identical to ``-j 1`` (``-j 0`` = all cores) — and cache results
-content-addressed on (repro version, config, seed), so re-running an
-unchanged sweep is near-free.  ``--no-cache`` (or the environment
-variable ``REPRO_SWEEP_CACHE=0``) disables the cache.  See
+Sweep-producing commands (``table``, ``sweep``, ``faults``, ``bench``,
+``serve``, ``cluster sweep``) accept a global ``-j/--jobs N`` flag that
+fans their independent, deterministic sweep points out across N worker
+processes — output is byte-identical to ``-j 1`` (``-j 0`` = all cores)
+— and cache results content-addressed on (repro version, config, seed),
+so re-running an unchanged sweep is near-free.  ``--no-cache`` (or the
+environment variable ``REPRO_SWEEP_CACHE=0``) disables the cache.  See
 ``docs/parallel_sweeps.md``.
 
 Examples::
@@ -57,9 +57,35 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+import time
+from typing import Callable, List, Optional, Tuple
+
+from repro import ops as opslib
+from repro.core.solver import JacobiSolver
+from repro.experiments import TABLES, run_table
 
 __all__ = ["main", "build_parser"]
+
+
+def _core_grid(text: str) -> Tuple[int, int]:
+    """``"YxX"`` (or ``"Y"``, meaning ``"Yx1"``) as a positive ``(Y, X)``."""
+    cy, _, cx = text.partition("x")
+    grid = (int(cy), int(cx or 1))
+    if min(grid) < 1:
+        raise ValueError(text)
+    return grid
+
+
+_core_grid.__name__ = "core grid"   # argparse: "invalid core grid value"
+
+
+def _comma_list(item: Callable = str) -> Callable[[str], tuple]:
+    """An argparse type: comma-separated ``item`` values, empty entries
+    dropped, as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(item(s.strip()) for s in text.split(",") if s.strip())
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,15 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve", help="run the Jacobi solver")
+    s.set_defaults(handler=_cmd_solve)
     s.add_argument("--nx", type=int, default=64)
     s.add_argument("--ny", type=int, default=64)
     s.add_argument("--iterations", type=int, default=100)
     s.add_argument("--backend", default="auto",
-                   choices=["auto", "cpu", "e150", "e150-model"])
+                   choices=JacobiSolver.BACKENDS)
     s.add_argument("--variant", default="optimized",
-                   choices=["initial", "write_opt", "double_buffered",
-                            "optimized"])
-    s.add_argument("--cores", default="1x1",
+                   choices=JacobiSolver.VARIANTS)
+    s.add_argument("--cores", type=_core_grid, default="1x1",
                    help="core grid as YxX, e.g. 12x9")
     s.add_argument("--cards", type=int, default=1)
     s.add_argument("--threads", type=int, default=1,
@@ -96,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", parents=[par],
                        help="regenerate a paper table")
-    t.add_argument("number", type=int, choices=range(1, 9),
+    t.set_defaults(handler=_cmd_table)
+    t.add_argument("number", type=int, choices=sorted(TABLES),
                    help="table number (1-8)")
     t.add_argument("--quick", action="store_true",
                    help="reduced problem size (no paper comparison)")
@@ -109,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "points fan out across -j worker processes with "
                     "byte-identical output, results are cached "
                     "content-addressed.")
+    sw.set_defaults(handler=_cmd_sweep)
     sw.add_argument("kind",
                     choices=["batch", "replication", "pages", "multicore"],
                     help="which sweep plan to run")
@@ -121,9 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "(worker ids, queue waits, wall times; host-"
                          "dependent, NOT byte-stable across runs)")
 
-    sub.add_parser("figures", help="regenerate the paper's figures")
+    sub.add_parser("figures", help="regenerate the paper's figures"
+                   ).set_defaults(handler=_cmd_figures)
 
     st = sub.add_parser("stream", help="run one streaming configuration")
+    st.set_defaults(handler=_cmd_stream)
     st.add_argument("--rows", type=int, default=1024)
     st.add_argument("--row-elems", type=int, default=1024)
     st.add_argument("--read-batch", type=int, default=None)
@@ -137,17 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--cores", type=int, default=1)
 
     pr = sub.add_parser("profile", help="run a kernel and print its profile")
+    pr.set_defaults(handler=_cmd_profile)
     pr.add_argument("--nx", type=int, default=64)
     pr.add_argument("--ny", type=int, default=64)
     pr.add_argument("--iterations", type=int, default=5)
     pr.add_argument("--variant", default="optimized",
-                    choices=["initial", "write_opt", "double_buffered",
-                             "optimized"])
+                    choices=JacobiSolver.VARIANTS)
 
     f = sub.add_parser("faults", parents=[par],
                        help="run a seeded fault-injection campaign")
+    f.set_defaults(handler=_cmd_faults)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--seeds", default=None,
+    f.add_argument("--seeds", type=_comma_list(int), default=None,
                    help="comma-separated seed list (e.g. 0,1,2,3): run one "
                         "campaign per seed through the parallel sweep "
                         "engine and print the combined summary")
@@ -157,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--nx", type=int, default=64)
     f.add_argument("--ny", type=int, default=64)
     f.add_argument("--iterations", type=int, default=64)
-    f.add_argument("--cores", default="2x2", help="core grid as YxX")
+    f.add_argument("--cores", type=_core_grid, default="2x2",
+                   help="core grid as YxX")
     f.add_argument("--dram-flips", type=int, default=3,
                    help="device-phase DRAM soft errors (ECC-scrubbed)")
     f.add_argument("--noc-faults", type=int, default=2)
@@ -181,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     li = sub.add_parser(
         "lint", help="statically verify the shipped kernels and programs")
+    li.set_defaults(handler=_cmd_lint)
     li.add_argument("--list-rules", action="store_true",
                     help="print the rule catalogue and exit")
     li.add_argument("--skip-examples", action="store_true",
@@ -205,13 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser(
         "bench", parents=[par],
         help="run the micro/macro performance benchmark suite")
+    be.set_defaults(handler=_cmd_bench)
     be.add_argument("--smoke", action="store_true",
                     help="reduced problem sizes (the CI configuration)")
     be.add_argument("--out", default=None,
                     help="output JSON path (default: BENCH_<date>.json)")
     be.add_argument("--reps", type=int, default=3,
                     help="repetitions per benchmark; best value is kept")
-    be.add_argument("--only", default=None,
+    be.add_argument("--only", type=_comma_list(), default=None,
                     help="comma-separated benchmark names to run")
     be.add_argument("--baseline", default=None,
                     help="baseline JSON to compare against (default with "
@@ -232,20 +266,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "(replay).  stdout and --out JSON are byte-identical "
                     "across repeat runs and -j settings.")
     svsub = sv.add_subparsers(dest="serve_command", required=True)
-    lg = svsub.add_parser("loadgen", parents=[par],
+    # flags shared by loadgen and chaos: the load shape and the pool
+    load = argparse.ArgumentParser(add_help=False)
+    load.add_argument("--mode", default="open", choices=["open", "closed"])
+    load.add_argument("--seed", type=int, default=0)
+    load.add_argument("--rate", type=float, default=8000.0,
+                      help="open loop: Poisson arrival rate (requests/s)")
+    load.add_argument("--clients", type=int, default=4,
+                      help="closed loop: concurrent tenants")
+    load.add_argument("--devices", type=int, default=2)
+    load.add_argument("--cpu-workers", type=int, default=1)
+    lg = svsub.add_parser("loadgen", parents=[par, load],
                           help="run a seeded synthetic load test")
-    lg.add_argument("--mode", default="open", choices=["open", "closed"])
-    lg.add_argument("--seed", type=int, default=0)
+    lg.set_defaults(handler=_cmd_serve_loadgen)
     lg.add_argument("--requests", type=int, default=64)
-    lg.add_argument("--rate", type=float, default=8000.0,
-                    help="open loop: Poisson arrival rate (requests/s)")
-    lg.add_argument("--clients", type=int, default=4,
-                    help="closed loop: concurrent tenants")
     lg.add_argument("--think-s", type=float, default=2e-3,
                     help="closed loop: mean think time (simulated s)")
-    lg.add_argument("--sizes", default="32,48,64,96,128",
+    lg.add_argument("--sizes", type=_comma_list(int),
+                    default="32,48,64,96,128",
                     help="comma-separated grid extents to draw from")
-    lg.add_argument("--workloads", default="jacobi",
+    lg.add_argument("--workloads", type=_comma_list(), default="jacobi",
                     help="comma-separated workload kinds to mix "
                          "(jacobi,matmul,fft,stencil9; default jacobi "
                          "only — sizes snap to each kind's constraint)")
@@ -259,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "intensity (0 = off; see docs/chaos_serving.md)")
     lg.add_argument("--chaos-seed", type=int, default=None,
                     help="chaos plan seed (default: --seed)")
-    lg.add_argument("--devices", type=int, default=2)
-    lg.add_argument("--cpu-workers", type=int, default=1)
     lg.add_argument("--max-batch", type=int, default=4)
     lg.add_argument("--queue-capacity", type=int, default=64)
     lg.add_argument("--no-solve", action="store_true",
@@ -271,13 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="record the request trace to this JSONL file")
     rp = svsub.add_parser("replay", parents=[par],
                           help="replay a recorded request trace")
+    rp.set_defaults(handler=_cmd_serve_replay)
     rp.add_argument("trace", help="trace file written by loadgen --record")
     rp.add_argument("--no-solve", action="store_true",
                     help="skip the functional solve post-pass")
     rp.add_argument("--out", default=None,
                     help="write the JSON report (schema repro-serve/2)")
     ch = svsub.add_parser(
-        "chaos", parents=[par],
+        "chaos", parents=[par, load],
         help="run a seeded chaos campaign against the service",
         description="Sweep seeded fault intensities (NoC delay/drop, ECC "
                     "scrubs, kernel hangs, in-flight SDC, mid-launch core "
@@ -286,18 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "invariants: every SDC detected, every shed typed, "
                     "every request terminally accounted, p99 inflation "
                     "bounded.  Exits 1 on any violation.")
-    ch.add_argument("--seed", type=int, default=0)
-    ch.add_argument("--mode", default="open", choices=["open", "closed"])
+    ch.set_defaults(handler=_cmd_serve_chaos)
     ch.add_argument("--requests", type=int, default=48)
-    ch.add_argument("--rate", type=float, default=8000.0,
-                    help="open loop: Poisson arrival rate (requests/s)")
-    ch.add_argument("--clients", type=int, default=4,
-                    help="closed loop: concurrent tenants")
-    ch.add_argument("--intensities", default="0.5,1,2",
+    ch.add_argument("--intensities", type=_comma_list(float),
+                    default="0.5,1,2",
                     help="comma-separated fault-intensity multipliers; a "
                          "fault-free baseline always runs first")
-    ch.add_argument("--devices", type=int, default=2)
-    ch.add_argument("--cpu-workers", type=int, default=1)
     ch.add_argument("--p99-inflation-limit", type=float, default=50.0,
                     help="max allowed p99(total latency) / baseline p99")
     ch.add_argument("--out", default=None,
@@ -318,12 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     clsub = cl.add_subparsers(dest="cluster_command", required=True)
     cs = clsub.add_parser("solve", parents=[par],
                           help="run one multi-card configuration")
+    cs.set_defaults(handler=_cmd_cluster_solve)
     cs.add_argument("--nx", type=int, default=64)
     cs.add_argument("--ny", type=int, default=64)
     cs.add_argument("--iterations", type=int, default=16)
-    cs.add_argument("--cards", default="2x1", metavar="CYxCX",
+    cs.add_argument("--cards", type=_core_grid, default="2x1",
+                    metavar="CYxCX",
                     help="card decomposition grid (default 2x1)")
-    cs.add_argument("--cores", default="1x1", metavar="CYxCX",
+    cs.add_argument("--cores", type=_core_grid, default="1x1",
+                    metavar="CYxCX",
                     help="per-card core grid used for timing")
     cs.add_argument("--timing", default="model", choices=["model", "des"],
                     help="Tier-2 analytic model or per-card DES launches")
@@ -339,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "reference; exit 1 on mismatch")
     cw = clsub.add_parser("sweep", parents=[par],
                           help="weak/strong scaling over card counts")
+    cw.set_defaults(handler=_cmd_cluster_sweep)
     cw.add_argument("--mode", default="weak", choices=["weak", "strong"])
-    cw.add_argument("--cards", default="1,2,4,8,16",
+    cw.add_argument("--cards", type=_comma_list(int), default="1,2,4,8,16",
                     help="comma-separated card counts")
     cw.add_argument("--nx", type=int, default=64,
                     help="per-card (weak) or global (strong) width")
@@ -365,12 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "across repeat runs.  See docs/ops.md.")
     opsub = op.add_subparsers(dest="ops_command", required=True)
     orn = opsub.add_parser("run", help="run one op once and check it")
-    orn.add_argument("--op", default="matmul",
-                     choices=["fft", "matmul", "stencil9"])
+    orn.set_defaults(handler=_cmd_ops_run)
+    orn.add_argument("--op", default="matmul", choices=sorted(opslib.OPS))
     orn.add_argument("--size", type=int, default=64,
                      help="problem extent (matmul m=k=n, fft pencil "
                           "length, stencil9 interior width)")
-    orn.add_argument("--cores", default="1x1", metavar="CYxCX",
+    orn.add_argument("--cores", type=_core_grid, default="1x1",
+                     metavar="CYxCX",
                      help="core grid of the launch (default 1x1)")
     orn.add_argument("--seed", type=int, default=0)
     orn.add_argument("--batch", type=int, default=None,
@@ -383,13 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip the host-reference differential check")
     osw = opsub.add_parser("sweep",
                            help="run every registered op over core grids")
-    osw.add_argument("--only", default=None,
+    osw.set_defaults(handler=_cmd_ops_sweep)
+    osw.add_argument("--only", type=_comma_list(), default=None,
                      help="comma-separated op names (default: all)")
-    osw.add_argument("--sizes", default="64",
+    osw.add_argument("--sizes", type=_comma_list(int), default="64",
                      help="comma-separated extents (fft needs powers of "
                           "two, stencil9 multiples of 32; invalid "
                           "combinations are skipped with a note)")
-    osw.add_argument("--cores", default="1x1,2x2",
+    osw.add_argument("--cores", type=_comma_list(_core_grid),
+                     default="1x1,2x2",
                      help="comma-separated core grids (default 1x1,2x2)")
     osw.add_argument("--seed", type=int, default=0)
     osw.add_argument("--out", default=None,
@@ -412,17 +452,41 @@ def _add_parallel_args(p: argparse.ArgumentParser, top_level: bool) -> None:
 
 def _parallel_opts(args) -> tuple:
     """(jobs, cache) for sweep-producing handlers."""
-    jobs = getattr(args, "jobs", None)
-    cache = False if getattr(args, "no_cache", False) else True
-    return jobs, cache
+    return args.jobs, not args.no_cache
+
+
+def _progress(message: str) -> None:
+    """Status lines go to stderr so stdout stays byte-comparable."""
+    print(message, file=sys.stderr)
+
+
+def _run_sweep(args, specs, render: Callable[[list], str]) -> list:
+    """Run ``specs`` through :mod:`repro.parallel` and print
+    ``render(outcomes)``.
+
+    The engine's summary line (cache hits, failures, wall time) goes to
+    stderr; ``--report`` appends the per-job observability table.
+    Returns the outcomes in submission order.
+    """
+    from repro.parallel import render_job_report, run_jobs, summary_line
+
+    jobs, cache = _parallel_opts(args)
+    t0 = time.perf_counter()
+    outcomes = run_jobs(specs, jobs=jobs, cache=cache, progress=_progress)
+    wall = time.perf_counter() - t0
+    print(render(outcomes))
+    print(summary_line(outcomes, wall, jobs), file=sys.stderr)
+    if getattr(args, "report", False):
+        print()
+        print(render_job_report(outcomes))
+    return outcomes
 
 
 def _cmd_solve(args) -> int:
     from repro.core.grid import LaplaceProblem
-    from repro.core.solver import JacobiSolver
     solver = JacobiSolver(backend=args.backend, variant=args.variant,
-                          cores=_parse_core_grid(args.cores),
-                          n_cards=args.cards, n_threads=args.threads)
+                          cores=args.cores, n_cards=args.cards,
+                          n_threads=args.threads)
     problem = LaplaceProblem(nx=args.nx, ny=args.ny)
     res = solver.solve(problem, args.iterations,
                        sim_iterations=args.sim_iterations)
@@ -439,42 +503,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from repro.experiments import table1, table2, table34, table567, table8
-    quick = args.quick
-    n = args.number
     jobs, cache = _parallel_opts(args)
-    pk = dict(jobs=jobs, cache=cache)
-    if n == 1:
-        res = table1.run(nx=64, ny=64, iterations=200, sim_iterations=2) \
-            if quick else table1.run()
-    elif n == 2:
-        res = table2.run(nx=64, ny=64, iterations=200, sim_iterations=2) \
-            if quick else table2.run()
-    elif n == 3:
-        res = table34.run_table3(rows=64, row_elems=1024, **pk) if quick \
-            else table34.run_table3(**pk)
-    elif n == 4:
-        res = table34.run_table4(rows=64, row_elems=1024, **pk) if quick \
-            else table34.run_table4(**pk)
-    elif n == 5:
-        res = table567.run_table5(rows=64, row_elems=1024, **pk) if quick \
-            else table567.run_table5(**pk)
-    elif n == 6:
-        res = table567.run_table6(rows=64, row_elems=1024,
-                                  replications=(0, 8), **pk) if quick \
-            else table567.run_table6(**pk)
-    elif n == 7:
-        res = table567.run_table7(rows=64, row_elems=1024,
-                                  core_counts=(1, 2, 4), **pk) if quick \
-            else table567.run_table7(**pk)
-    else:
-        res = table8.run(nx=1024, ny=128, iterations=20, rows=[
-            ("cpu", 1, None, None, 0, None, None),
-            ("cpu", 24, None, None, 0, None, None),
-            ("e150", 4, 2, 2, 1, None, None),
-            ("e150", 108, 12, 9, 1, None, None),
-        ], **pk) if quick else table8.run(**pk)
-    print(res.render())
+    print(run_table(args.number, quick=args.quick, jobs=jobs,
+                    cache=cache).render())
     return 0
 
 
@@ -486,11 +517,8 @@ def _cmd_sweep(args) -> int:
     clean against `-j 1`; cache/worker/wall statistics go to stderr, and
     ``--report`` opts into the per-job observability table.
     """
-    import time
-
     from repro.analysis.report import Table
-    from repro.parallel import (JobSpec, render_job_report, run_jobs,
-                                summary_line)
+    from repro.parallel import JobSpec
     from repro.streaming import StreamConfig
     from repro.streaming.sweep import (PAPER_BATCH_SIZES,
                                        batch_sweep_configs,
@@ -498,7 +526,6 @@ def _cmd_sweep(args) -> int:
                                        page_sweep_configs,
                                        replication_sweep_configs)
 
-    jobs, cache = _parallel_opts(args)
     base = StreamConfig(rows=args.rows, row_elems=args.row_elems)
     if args.kind == "batch":
         sizes = [b for b in PAPER_BATCH_SIZES
@@ -512,32 +539,24 @@ def _cmd_sweep(args) -> int:
     else:
         plan = multicore_sweep_configs(base, None, (1, 2, 4, 8))
 
-    specs = [JobSpec("stream", cfg) for _, cfg in plan]
-    t0 = time.perf_counter()
-    outcomes = run_jobs(specs, jobs=jobs, cache=cache,
-                        progress=lambda m: print(m, file=sys.stderr))
-    wall = time.perf_counter() - t0
+    def render(outcomes) -> str:
+        table = Table(
+            f"sweep {args.kind}: {args.rows}x{args.row_elems} int32, "
+            f"{len(plan)} points",
+            ["configuration", "runtime s", "events", "sim_now"])
+        for (label, _cfg), out in zip(plan, outcomes):
+            r = out.record
+            if r.ok:
+                table.add_row(label, f"{out.result.runtime_s:.9g}",
+                              r.obs.get("events", "-"),
+                              f"{r.obs.get('sim_now', 0.0):.9g}")
+            else:
+                table.add_row(label, "FAILED", "-", "-")
+        return table.render()
 
-    table = Table(
-        f"sweep {args.kind}: {args.rows}x{args.row_elems} int32, "
-        f"{len(plan)} points",
-        ["configuration", "runtime s", "events", "sim_now"])
-    failed = 0
-    for (label, _cfg), out in zip(plan, outcomes):
-        r = out.record
-        if r.ok:
-            table.add_row(label, f"{out.result.runtime_s:.9g}",
-                          r.obs.get("events", "-"),
-                          f"{r.obs.get('sim_now', 0.0):.9g}")
-        else:
-            failed += 1
-            table.add_row(label, "FAILED", "-", "-")
-    print(table.render())
-    print(summary_line(outcomes, wall, jobs), file=sys.stderr)
-    if args.report:
-        print()
-        print(render_job_report(outcomes))
-    return 1 if failed else 0
+    outcomes = _run_sweep(args, [JobSpec("stream", cfg) for _, cfg in plan],
+                          render)
+    return 1 if any(not o.record.ok for o in outcomes) else 0
 
 
 def _cmd_figures(_args) -> int:
@@ -571,20 +590,10 @@ def _cmd_profile(args) -> int:
     from repro.analysis.profile import profile_device
     from repro.arch.device import GrayskullDevice
     from repro.core.grid import LaplaceProblem
-    from repro.core.jacobi_initial import InitialConfig, InitialJacobiRunner
-    from repro.core.jacobi_optimized import OptimizedJacobiRunner
     dev = GrayskullDevice(dram_bank_capacity=64 << 20)
     problem = LaplaceProblem(nx=args.nx, ny=args.ny)
-    if args.variant == "optimized":
-        OptimizedJacobiRunner(dev, problem).run(args.iterations,
-                                                read_back=False)
-    else:
-        cfg = {"initial": InitialConfig.initial,
-               "write_opt": InitialConfig.write_optimised,
-               "double_buffered": InitialConfig.double_buffered_cfg,
-               }[args.variant]()
-        InitialJacobiRunner(dev, problem, cfg).run(args.iterations,
-                                                   read_back=False)
+    JacobiSolver(variant=args.variant).des_runner(dev, problem).run(
+        args.iterations, read_back=False)
     print(profile_device(dev).render())
     return 0
 
@@ -593,7 +602,7 @@ def _cmd_faults(args) -> int:
     from dataclasses import replace
 
     from repro.faults import (CampaignConfig, render_campaign_sweep,
-                              run_campaign, run_campaign_sweep, run_hang_demo)
+                              run_campaign, run_hang_demo)
     if args.hang_demo:
         err = run_hang_demo(seed=args.seed)
         print("watchdog fired:")
@@ -601,29 +610,20 @@ def _cmd_faults(args) -> int:
         return 0
     cfg = CampaignConfig(
         seed=args.seed, nx=args.nx, ny=args.ny,
-        iterations=args.iterations, cores=_parse_core_grid(args.cores),
+        iterations=args.iterations, cores=args.cores,
         dram_flips=args.dram_flips, noc_faults=args.noc_faults,
         pcie_corruptions=args.pcie_corruptions,
         solver_flips=args.solver_flips, core_failures=args.core_failures,
         checkpoint_every=args.checkpoint_every, ecc=not args.no_ecc)
 
     if args.seeds is not None:
-        from repro.parallel import render_job_report, summary_line
-        import time
+        # One campaign per seed; a crashed worker isolates only its own
+        # campaign (reported in the fault plane's sweep.job vocabulary).
+        from repro.parallel import JobSpec
 
-        jobs, cache = _parallel_opts(args)
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        configs = [replace(cfg, seed=s) for s in seeds]
-        t0 = time.perf_counter()
-        outcomes = run_campaign_sweep(
-            configs, jobs=jobs, cache=cache,
-            progress=lambda m: print(m, file=sys.stderr))
-        wall = time.perf_counter() - t0
-        print(render_campaign_sweep(outcomes))
-        print(summary_line(outcomes, wall, jobs), file=sys.stderr)
-        if args.report:
-            print()
-            print(render_job_report(outcomes))
+        specs = [JobSpec("campaign", replace(cfg, seed=s), seed=s)
+                 for s in args.seeds]
+        outcomes = _run_sweep(args, specs, render_campaign_sweep)
         return 1 if any(not o.record.ok for o in outcomes) else 0
 
     report = run_campaign(cfg)
@@ -646,20 +646,12 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _lint_exit_code(report, strict: bool) -> int:
-    """0 on clean or warnings-only; 1 on errors, or any finding in strict."""
-    if report.errors:
-        return 1
-    if strict and report:
-        return 1
-    return 0
-
-
 def _emit_lint_report(report, args, ok_line: str) -> int:
-    """Render one lint report in the chosen format and exit-code it."""
+    """Render one lint report in the chosen format and exit-code it: 0 on
+    clean or warnings-only, 1 on errors (or on any finding with strict)."""
     from repro.lint.export import report_to_json, to_json_text
 
-    code = _lint_exit_code(report, args.strict)
+    code = 1 if report.errors or (args.strict and report) else 0
     if args.format == "json":
         sys.stdout.write(to_json_text(report_to_json(report)))
         return code
@@ -756,25 +748,16 @@ def _cmd_lint(args) -> int:
 
     from repro.arch.device import GrayskullDevice
     from repro.core.grid import LaplaceProblem
-    from repro.core.jacobi_initial import InitialConfig, InitialJacobiRunner
-    from repro.core.jacobi_optimized import OptimizedJacobiRunner
-    from repro.core.jacobi_sram import SramJacobiRunner
     from repro.streaming import StreamConfig, run_streaming
 
     problem = LaplaceProblem(nx=64, ny=64)
+    # every Jacobi generation on one core, plus the optimised 2x2 launch
+    solvers = [JacobiSolver(variant=v) for v in JacobiSolver.VARIANTS]
+    solvers.append(JacobiSolver(cores=(2, 2)))
     with lint.capture() as report:
-        for cfg in (InitialConfig.initial(), InitialConfig.write_optimised(),
-                    InitialConfig.double_buffered_cfg()):
+        for solver in solvers:
             dev = GrayskullDevice(dram_bank_capacity=64 << 20)
-            InitialJacobiRunner(dev, problem, cfg).run(2, read_back=False)
-        dev = GrayskullDevice(dram_bank_capacity=64 << 20)
-        OptimizedJacobiRunner(dev, problem).run(2, read_back=False)
-        dev = GrayskullDevice(dram_bank_capacity=64 << 20)
-        OptimizedJacobiRunner(dev, problem, cores_y=2, cores_x=2).run(
-            2, read_back=False)
-        dev = GrayskullDevice(dram_bank_capacity=64 << 20)
-        SramJacobiRunner(dev, problem).run(2, read_back=False)
-        from repro import ops as opslib
+            solver.des_runner(dev, problem).run(2, read_back=False)
         for op_spec in opslib.list_ops():
             op_problem = op_spec.make_problem(64, 0)
             op_spec.run(op_problem, cores=(1, 1))
@@ -818,11 +801,11 @@ def _cmd_bench(args) -> int:
     from repro import bench
 
     jobs, cache = _parallel_opts(args)
-    only = [s.strip() for s in args.only.split(",")] if args.only else None
     print(f"running {'smoke' if args.smoke else 'full'} benchmark suite "
           f"({args.reps} rep(s) each)...")
     doc = bench.run_benchmarks(smoke=args.smoke, reps=args.reps,
-                               only=only, log=print, jobs=jobs, cache=cache)
+                               only=args.only, log=print, jobs=jobs,
+                               cache=cache)
     out = args.out or bench.default_report_path()
     bench.write_report(doc, out)
     print(bench.render(doc))
@@ -850,64 +833,68 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """Run the solve service: loadgen or trace replay.
+def _cmd_serve_loadgen(args) -> int:
+    """Run a seeded synthetic load test against the solve service."""
+    from repro.serve import (ChaosConfig, LoadGenConfig, PoolConfig,
+                             SchedulerConfig, run_loadgen, write_trace)
+
+    jobs, cache = _parallel_opts(args)
+    cfg = LoadGenConfig(
+        mode=args.mode, seed=args.seed, n_requests=args.requests,
+        arrival_rate_rps=args.rate, n_clients=args.clients,
+        think_s=args.think_s, sizes=args.sizes, workloads=args.workloads,
+        iterations=args.iterations, cpu_fraction=args.cpu_fraction,
+        deadline_fraction=args.deadline_fraction)
+    chaos = None
+    if args.chaos_intensity > 0:
+        seed = args.seed if args.chaos_seed is None else args.chaos_seed
+        chaos = ChaosConfig(seed=seed, intensity=args.chaos_intensity)
+    report = run_loadgen(
+        cfg,
+        scheduler=SchedulerConfig(max_batch=args.max_batch,
+                                  queue_capacity=args.queue_capacity),
+        pool=PoolConfig(n_devices=args.devices,
+                        n_cpu_workers=args.cpu_workers),
+        n_hangs=args.hangs, chaos=chaos, solve=not args.no_solve,
+        jobs=jobs, cache=cache, progress=_progress)
+    if args.record:
+        write_trace(report, args.record)
+        print(f"trace written to {args.record}", file=sys.stderr)
+    return _emit_serve_report(report, args.out)
+
+
+def _cmd_serve_replay(args) -> int:
+    """Replay a recorded request trace through the solve service."""
+    from repro.serve import replay_trace
+
+    jobs, cache = _parallel_opts(args)
+    try:
+        report = replay_trace(args.trace, solve=not args.no_solve,
+                              jobs=jobs, cache=cache, progress=_progress)
+    except (OSError, ValueError) as exc:
+        print(f"serve replay: {exc}", file=sys.stderr)
+        return 2
+    return _emit_serve_report(report, args.out)
+
+
+def _emit_serve_report(report, out: Optional[str]) -> int:
+    """Print a serve report and optionally write its JSON.
 
     stdout carries only deterministic simulated-time content (the serve
     report tables; the --out JSON likewise) so repeat runs and `-j N`
     runs diff clean; cache statistics and file-path status lines go to
     stderr.
     """
-    from repro.serve import (LoadGenConfig, PoolConfig, SchedulerConfig,
-                             render_serve_report, replay_trace,
-                             run_loadgen, write_trace)
+    from repro.serve import render_serve_report
 
-    jobs, cache = _parallel_opts(args)
-    progress = lambda m: print(m, file=sys.stderr)  # noqa: E731
-    if args.serve_command == "chaos":
-        return _cmd_serve_chaos(args, jobs, cache, progress)
-    solve = not args.no_solve
-    if args.serve_command == "replay":
-        try:
-            report = replay_trace(args.trace, solve=solve, jobs=jobs,
-                                  cache=cache, progress=progress)
-        except (OSError, ValueError) as exc:
-            print(f"serve replay: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
-        workloads = tuple(w.strip() for w in args.workloads.split(",")
-                          if w.strip())
-        cfg = LoadGenConfig(
-            mode=args.mode, seed=args.seed, n_requests=args.requests,
-            arrival_rate_rps=args.rate, n_clients=args.clients,
-            think_s=args.think_s, sizes=sizes, workloads=workloads,
-            iterations=args.iterations, cpu_fraction=args.cpu_fraction,
-            deadline_fraction=args.deadline_fraction)
-        chaos = None
-        if args.chaos_intensity > 0:
-            from repro.serve import ChaosConfig
-            seed = args.seed if args.chaos_seed is None else args.chaos_seed
-            chaos = ChaosConfig(seed=seed, intensity=args.chaos_intensity)
-        report = run_loadgen(
-            cfg,
-            scheduler=SchedulerConfig(max_batch=args.max_batch,
-                                      queue_capacity=args.queue_capacity),
-            pool=PoolConfig(n_devices=args.devices,
-                            n_cpu_workers=args.cpu_workers),
-            n_hangs=args.hangs, chaos=chaos, solve=solve, jobs=jobs,
-            cache=cache, progress=progress)
-        if args.record:
-            write_trace(report, args.record)
-            print(f"trace written to {args.record}", file=sys.stderr)
     print(render_serve_report(report))
-    if args.out:
-        report.write(args.out)
-        print(f"report written to {args.out}", file=sys.stderr)
+    if out:
+        report.write(out)
+        print(f"report written to {out}", file=sys.stderr)
     return 0
 
 
-def _cmd_serve_chaos(args, jobs, cache, progress) -> int:
+def _cmd_serve_chaos(args) -> int:
     """Seeded chaos campaign: fault intensities swept over the service.
 
     stdout (the campaign table and the --out JSON) is byte-identical
@@ -919,31 +906,31 @@ def _cmd_serve_chaos(args, jobs, cache, progress) -> int:
     from repro.serve import (ChaosConfig, LoadGenConfig, PoolConfig,
                              render_chaos_campaign, run_chaos_campaign)
 
-    intensities = tuple(float(s) for s in args.intensities.split(",")
-                        if s.strip())
-    loadgen = LoadGenConfig(
-        mode=args.mode, seed=args.seed, n_requests=args.requests,
-        arrival_rate_rps=args.rate, n_clients=args.clients)
-    pool = PoolConfig(n_devices=args.devices,
-                      n_cpu_workers=args.cpu_workers)
-    chaos = ChaosConfig(seed=args.seed)
+    jobs, cache = _parallel_opts(args)
     if args.replay_check:
         cache = False  # a cache hit would make the repeat-run check vacuous
-    doc = run_chaos_campaign(
-        loadgen, pool=pool, chaos=chaos, intensities=intensities,
-        p99_inflation_limit=args.p99_inflation_limit,
-        jobs=jobs, cache=cache, progress=progress)
+
+    def campaign() -> dict:
+        return run_chaos_campaign(
+            LoadGenConfig(mode=args.mode, seed=args.seed,
+                          n_requests=args.requests,
+                          arrival_rate_rps=args.rate,
+                          n_clients=args.clients),
+            pool=PoolConfig(n_devices=args.devices,
+                            n_cpu_workers=args.cpu_workers),
+            chaos=ChaosConfig(seed=args.seed),
+            intensities=args.intensities,
+            p99_inflation_limit=args.p99_inflation_limit,
+            jobs=jobs, cache=cache, progress=_progress)
+
+    doc = campaign()
     text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     if args.replay_check:
-        again = run_chaos_campaign(
-            loadgen, pool=pool, chaos=chaos, intensities=intensities,
-            p99_inflation_limit=args.p99_inflation_limit,
-            jobs=jobs, cache=False, progress=progress)
-        if json.dumps(again, sort_keys=True, indent=1) + "\n" != text:
+        if json.dumps(campaign(), sort_keys=True, indent=1) + "\n" != text:
             print("REPLAY MISMATCH: campaign documents differ between "
                   "identical runs")
             return 1
-        print(f"replay check: {1 + len(intensities)} run(s), "
+        print(f"replay check: {1 + len(args.intensities)} run(s), "
               "byte-identical")
     print(render_chaos_campaign(doc))
     if args.out:
@@ -953,83 +940,68 @@ def _cmd_serve_chaos(args, jobs, cache, progress) -> int:
     return 1 if doc["violations_total"] else 0
 
 
-def _parse_core_grid(text: str):
-    """``"YxX"`` (or ``"Y"``, meaning ``"Yx1"``) as ``(Y, X)`` ints."""
-    cy, _, cx = text.partition("x")
-    return (int(cy), int(cx or 1))
+def _cmd_ops_run(args) -> int:
+    """Run one repro.ops workload once on the simulated device.
 
-
-def _cmd_ops(args) -> int:
-    """Run repro.ops workloads on the simulated device.
-
-    Every execution is differentially checked against its host NumPy
-    reference at readback unless --no-check; exit 1 on any mismatch.
+    The execution is differentially checked against its host NumPy
+    reference at readback unless --no-check; exit 1 on a mismatch.
     stdout carries only deterministic simulated-time content.
     """
-    from repro import ops as opslib
     from repro.perfmodel.calibration import DEFAULT_COSTS
 
-    if args.ops_command == "run":
-        spec = opslib.get_op(args.op)
-        kw = {}
-        if args.batch is not None:
-            kw["batch"] = args.batch
-        if args.ny is not None:
-            kw["ny"] = args.ny
-        if args.iters is not None:
-            kw["iters"] = args.iters
-        cores = _parse_core_grid(args.cores)
-        try:
-            problem = spec.make_problem(args.size, args.seed, **kw)
-            res = spec.run(problem, cores=cores, check=not args.no_check)
-        except ValueError as exc:
-            print(f"ops run: {exc}", file=sys.stderr)
-            return 2
-        except opslib.OpCheckError as exc:
-            print(f"CHECK FAILED: {exc}")
-            return 1
-        est = spec.estimate(problem, cores, DEFAULT_COSTS)
-        params = " ".join(f"{k}={v}" for k, v in sorted(res.params.items()))
-        achieved = spec.flops(problem) / res.kernel_time_s / 1e9 \
-            if res.kernel_time_s else 0.0
-        print(f"op={res.op} cores={cores[0]}x{cores[1]} {params}")
-        print(f"kernel   {res.kernel_time_s:.6g} s simulated "
-              f"({achieved:.4g} GFLOP/s)")
-        print(f"transfer {res.transfer_time_s:.6g} s PCIe")
-        print(f"model    {est.time_s:.6g} s ({est.gflops:.4g} GFLOP/s, "
-              f"{100 * est.roofline_frac:.1f}% of roofline)")
-        print(f"energy   {res.energy_j:.4g} J device "
-              f"(model {est.energy_j:.4g} J)")
-        print(f"check    {res.check_detail}, sha {res.output_sha}")
-        return 0
-    return _cmd_ops_sweep(args, opslib, DEFAULT_COSTS)
+    spec = opslib.get_op(args.op)
+    kw = {k: getattr(args, k) for k in ("batch", "ny", "iters")
+          if getattr(args, k) is not None}
+    cores = args.cores
+    try:
+        problem = spec.make_problem(args.size, args.seed, **kw)
+        res = spec.run(problem, cores=cores, check=not args.no_check)
+    except ValueError as exc:
+        print(f"ops run: {exc}", file=sys.stderr)
+        return 2
+    except opslib.OpCheckError as exc:
+        print(f"CHECK FAILED: {exc}")
+        return 1
+    est = spec.estimate(problem, cores, DEFAULT_COSTS)
+    params = " ".join(f"{k}={v}" for k, v in sorted(res.params.items()))
+    achieved = spec.flops(problem) / res.kernel_time_s / 1e9 \
+        if res.kernel_time_s else 0.0
+    print(f"op={res.op} cores={cores[0]}x{cores[1]} {params}")
+    print(f"kernel   {res.kernel_time_s:.6g} s simulated "
+          f"({achieved:.4g} GFLOP/s)")
+    print(f"transfer {res.transfer_time_s:.6g} s PCIe")
+    print(f"model    {est.time_s:.6g} s ({est.gflops:.4g} GFLOP/s, "
+          f"{100 * est.roofline_frac:.1f}% of roofline)")
+    print(f"energy   {res.energy_j:.4g} J device "
+          f"(model {est.energy_j:.4g} J)")
+    print(f"check    {res.check_detail}, sha {res.output_sha}")
+    return 0
 
 
-def _cmd_ops_sweep(args, opslib, costs) -> int:
+def _cmd_ops_sweep(args) -> int:
+    """Run every selected op over sizes and core grids, each checked."""
     import json
 
     from repro.analysis.report import Table
+    from repro.perfmodel.calibration import DEFAULT_COSTS
 
-    names = [s.strip() for s in args.only.split(",") if s.strip()] \
-        if args.only else [s.name for s in opslib.list_ops()]
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    grids = [_parse_core_grid(c) for c in args.cores.split(",")
-             if c.strip()]
+    names = args.only or sorted(opslib.OPS)
     table = Table(
-        f"ops sweep: {len(names)} op(s), sizes {args.sizes}, seed "
-        f"{args.seed} (differential check on every run)",
+        f"ops sweep: {len(names)} op(s), sizes "
+        f"{','.join(map(str, args.sizes))}, seed {args.seed} "
+        "(differential check on every run)",
         ["op", "params", "cores", "kernel s", "model s", "GFLOP/s",
          "% roofline", "energy J", "check"])
     rows, failures = [], 0
     for name in names:
         spec = opslib.get_op(name)
-        for size in sizes:
+        for size in args.sizes:
             try:
                 problem = spec.make_problem(size, args.seed)
             except ValueError as exc:
                 print(f"skip {name} size={size}: {exc}", file=sys.stderr)
                 continue
-            for cores in grids:
+            for cores in args.cores:
                 try:
                     res = spec.run(problem, cores=cores)
                 except opslib.OpCheckError as exc:
@@ -1042,7 +1014,7 @@ def _cmd_ops_sweep(args, opslib, costs) -> int:
                           f"cores={cores[0]}x{cores[1]}: {exc}",
                           file=sys.stderr)
                     continue
-                est = spec.estimate(problem, cores, costs)
+                est = spec.estimate(problem, cores, DEFAULT_COSTS)
                 achieved = spec.flops(problem) / res.kernel_time_s / 1e9 \
                     if res.kernel_time_s else 0.0
                 pct = 100 * achieved / est.roofline_gflops \
@@ -1064,19 +1036,12 @@ def _cmd_ops_sweep(args, opslib, costs) -> int:
     return 1 if failures else 0
 
 
-def _cmd_cluster(args) -> int:
-    if args.cluster_command == "solve":
-        return _cmd_cluster_solve(args)
-    return _cmd_cluster_sweep(args)
-
-
 def _cmd_cluster_solve(args) -> int:
     import numpy as np
 
     from repro.cluster import ClusterConfig, ClusterSolver
 
-    cards_y, cards_x = _parse_core_grid(args.cards)
-    cores_y, cores_x = _parse_core_grid(args.cores)
+    (cards_y, cards_x), (cores_y, cores_x) = args.cards, args.cores
     cfg = ClusterConfig(
         nx=args.nx, ny=args.ny, iterations=args.iterations,
         cards_y=cards_y, cards_x=cards_x,
@@ -1115,62 +1080,42 @@ def _cmd_cluster_solve(args) -> int:
 
 
 def _cmd_cluster_sweep(args) -> int:
-    import time
-
     from repro.cluster import (cluster_sweep_configs, doc_to_json,
                                render_cluster_report, sweep_to_doc)
-    from repro.parallel import JobSpec, SweepJobError, run_jobs, summary_line
+    from repro.parallel import JobSpec, SweepJobError
 
-    jobs, cache = _parallel_opts(args)
-    cards = [int(c) for c in args.cards.split(",") if c]
     configs = cluster_sweep_configs(
-        args.mode, cards, base_nx=args.nx, base_ny=args.ny,
+        args.mode, args.cards, base_nx=args.nx, base_ny=args.ny,
         iterations=args.iterations, split=args.split, timing=args.timing,
         exchange=args.exchange)
-    specs = [JobSpec("cluster", cfg) for cfg in configs]
-    t0 = time.perf_counter()
-    outcomes = run_jobs(specs, jobs=jobs, cache=cache,
-                        progress=lambda m: print(m, file=sys.stderr))
-    wall = time.perf_counter() - t0
-    failures = [o for o in outcomes if not o.record.ok]
-    if failures:
-        raise SweepJobError(failures)
-    points = [o.result for o in outcomes]
-    print(render_cluster_report(args.mode, points))
-    print(summary_line(outcomes, wall), file=sys.stderr)
+
+    def points(outcomes) -> list:
+        failures = [o for o in outcomes if not o.record.ok]
+        if failures:
+            raise SweepJobError(failures)
+        return [o.result for o in outcomes]
+
+    outcomes = _run_sweep(
+        args, [JobSpec("cluster", cfg) for cfg in configs],
+        lambda outs: render_cluster_report(args.mode, points(outs)))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(doc_to_json(sweep_to_doc(args.mode, points)))
+            fh.write(doc_to_json(sweep_to_doc(args.mode, points(outcomes))))
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
+    if args.jobs is not None:
         # Session default so library code reached without an explicit
         # jobs= argument (e.g. nested sweeps) resolves to the same -j.
         from repro.parallel import set_default_jobs
-        set_default_jobs(jobs)
-    handler = {
-        "solve": _cmd_solve,
-        "table": _cmd_table,
-        "sweep": _cmd_sweep,
-        "figures": _cmd_figures,
-        "stream": _cmd_stream,
-        "profile": _cmd_profile,
-        "faults": _cmd_faults,
-        "lint": _cmd_lint,
-        "bench": _cmd_bench,
-        "serve": _cmd_serve,
-        "cluster": _cmd_cluster,
-        "ops": _cmd_ops,
-    }[args.command]
+        set_default_jobs(args.jobs)
     try:
-        return handler(args)
+        return args.handler(args)
     finally:
-        if jobs is not None:
+        if args.jobs is not None:
             set_default_jobs(None)
 
 

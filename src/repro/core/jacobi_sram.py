@@ -303,9 +303,9 @@ class SramJacobiRunner:
         dev.sim.process(_watch_load(), name="load_watch")
         EnqueueProgram(dev, prog)
         Finish(dev)
-        t_end = dev.sim.now
+        span = dev.sim.now - t0
         load_time = marks.get("loaded", t0) - t0
-        per_iter = (t_end - t0 - load_time) / sim_iters
+        per_iter = (span - load_time) / sim_iters
         full_time = load_time + per_iter * iterations
 
         grid_bits = None
@@ -322,6 +322,7 @@ class SramJacobiRunner:
             simulated_iterations=sim_iters,
             kernel_time_s=full_time,
             transfer_time_s=t_in + t_out,
-            energy_j=dev.energy.energy_j,
+            energy_j=dev.energy.energy_j if sim_iters == iterations
+            else dev.energy.energy_j * (full_time / (span or 1.0)),
             points=nx * ny,
         )

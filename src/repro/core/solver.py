@@ -83,6 +83,7 @@ class JacobiSolver:
 
     VARIANTS = ("initial", "write_opt", "double_buffered", "optimized",
                 "sram")
+    BACKENDS = ("auto", "cpu", "e150", "e150-model")
 
     def __init__(self, backend: str = "auto", variant: str = "optimized",
                  cores: tuple[int, int] = (1, 1), n_cards: int = 1,
@@ -90,7 +91,7 @@ class JacobiSolver:
                  costs: CostModel = DEFAULT_COSTS):
         if variant not in self.VARIANTS:
             raise ValueError(f"variant must be one of {self.VARIANTS}")
-        if backend not in ("auto", "cpu", "e150", "e150-model"):
+        if backend not in self.BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         if n_cards > 1 and variant != "optimized":
             raise ValueError("multi-card runs require the optimised variant")
@@ -140,6 +141,22 @@ class JacobiSolver:
                 "backend='e150' (or 'auto')")
         return self._solve_model(problem, iterations, compute_answer)
 
+    def des_runner(self, device: GrayskullDevice, problem: LaplaceProblem):
+        """The DES runner of this solver's variant and core grid, built on
+        ``device`` (call its ``run`` to launch)."""
+        if self.variant == "sram":
+            from repro.core.jacobi_sram import SramJacobiRunner
+            return SramJacobiRunner(device, problem, cores_y=self.cores[0])
+        if self.variant == "optimized":
+            return OptimizedJacobiRunner(
+                device, problem, OptimizedConfig(),
+                cores_y=self.cores[0], cores_x=self.cores[1])
+        cfg = {"initial": InitialConfig.initial,
+               "write_opt": InitialConfig.write_optimised,
+               "double_buffered": InitialConfig.double_buffered_cfg,
+               }[self.variant]()
+        return InitialJacobiRunner(device, problem, cfg)
+
     # -- engines ------------------------------------------------------------
     def _solve_cpu(self, problem: LaplaceProblem, iterations: int,
                    compute_answer: bool) -> JacobiResult:
@@ -165,20 +182,8 @@ class JacobiSolver:
     def _solve_des(self, problem: LaplaceProblem, iterations: int,
                    sim_iterations: Optional[int],
                    device: Optional[GrayskullDevice]) -> JacobiResult:
-        dev = device or GrayskullDevice(self.costs)
-        if self.variant == "sram":
-            from repro.core.jacobi_sram import SramJacobiRunner
-            runner = SramJacobiRunner(dev, problem, cores_y=self.cores[0])
-        elif self.variant == "optimized":
-            runner = OptimizedJacobiRunner(
-                dev, problem, OptimizedConfig(),
-                cores_y=self.cores[0], cores_x=self.cores[1])
-        else:
-            cfg = {"initial": InitialConfig.initial,
-                   "write_opt": InitialConfig.write_optimised,
-                   "double_buffered": InitialConfig.double_buffered_cfg,
-                   }[self.variant]()
-            runner = InitialJacobiRunner(dev, problem, cfg)
+        runner = self.des_runner(device or GrayskullDevice(self.costs),
+                                 problem)
         res = runner.run(iterations, sim_iterations=sim_iterations)
         grid = bits_to_f32(res.grid_bits) if res.grid_bits is not None else None
         return JacobiResult(

@@ -20,7 +20,6 @@ from repro.faults.campaign import (
     CampaignConfig,
     render_campaign_sweep,
     run_campaign,
-    run_campaign_sweep,
     run_hang_demo,
 )
 from repro.faults.injector import FaultInjector
@@ -48,6 +47,5 @@ __all__ = [
     "SolverBitFlip",
     "render_campaign_sweep",
     "run_campaign",
-    "run_campaign_sweep",
     "run_hang_demo",
 ]

@@ -40,8 +40,8 @@ from repro.ttmetal.host import (CreateKernel, DeviceHangError, EnqueueProgram,
                                 Program)
 from repro.ttmetal.buffers import create_buffer
 
-__all__ = ["CampaignConfig", "run_campaign", "run_campaign_sweep",
-           "render_campaign_sweep", "run_hang_demo"]
+__all__ = ["CampaignConfig", "run_campaign", "render_campaign_sweep",
+           "run_hang_demo"]
 
 #: device-phase DRAM bank size: small, so random flip addresses often land
 #: inside the exercised buffer.
@@ -146,24 +146,6 @@ def run_campaign(cfg: CampaignConfig,
     report.note("solver degraded load factor", f"{res.degraded_factor:.4g}")
     report.note("solver time (modelled)", f"{res.time_s:.6g} s")
     return report
-
-
-def run_campaign_sweep(configs, jobs=None, cache=None, progress=None):
-    """Run many campaigns through the parallel sweep engine.
-
-    Returns the engine's :class:`~repro.parallel.engine.JobOutcome` list
-    in submission order; each successful outcome's ``result`` is the
-    campaign's :class:`~repro.analysis.resilience.ResilienceReport`
-    (reconstructed identically whether computed fresh or replayed from
-    the content-addressed cache).  A crashed worker isolates only its
-    own campaign — the failure is reported in the fault plane's own
-    vocabulary (``sweep.job`` / ``isolated``) rather than aborting the
-    sweep, mirroring how the campaigns themselves treat device faults.
-    """
-    from repro.parallel import JobSpec, run_jobs
-
-    specs = [JobSpec("campaign", cfg, seed=cfg.seed) for cfg in configs]
-    return run_jobs(specs, jobs=jobs, cache=cache, progress=progress)
 
 
 def render_campaign_sweep(outcomes) -> str:

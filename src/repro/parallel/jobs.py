@@ -237,8 +237,7 @@ def _table8_from_payload(config, seed, payload):
 def _run_bench_invariants(config, seed) -> Tuple[dict, dict]:
     from repro import bench
 
-    _kind, _metric, _unit, _higher, fn = bench.BENCHMARKS[config.name]
-    _wall, _value, inv = fn(config.smoke)
+    inv = bench.measure_invariants(config.name, config.smoke)
     obs = {k: inv[k] for k in ("events", "sim_now") if k in inv}
     return {"invariants": inv}, obs
 

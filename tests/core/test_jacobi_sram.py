@@ -7,6 +7,7 @@ from repro.arch.sram import SramExhausted
 from repro.core.grid import LaplaceProblem
 from repro.core.jacobi_optimized import OptimizedJacobiRunner
 from repro.core.jacobi_sram import SramJacobiRunner
+from repro.core.solver import JacobiSolver
 from repro.cpu.jacobi import jacobi_solve_bf16
 
 
@@ -102,3 +103,19 @@ class TestPerformance:
         # load = (ny + 2) rows per core boundary split = 16+2+... ; with
         # 2 cores: (8+2) + (8+2) = 20 row reads total, nothing else
         assert reads == 20
+
+
+class TestEnergyExtrapolation:
+    """A partial simulation scales energy with the extrapolated time."""
+
+    def test_runner_partial_energy_matches_full_run(self, device_factory):
+        p = LaplaceProblem(nx=64, ny=64)
+        full = SramJacobiRunner(device_factory(), p).run(8)
+        part = SramJacobiRunner(device_factory(), p).run(8, sim_iterations=2)
+        assert part.energy_j == pytest.approx(full.energy_j, rel=0.03)
+
+    def test_solver_partial_energy_matches_full_run(self):
+        p = LaplaceProblem(nx=64, ny=64)
+        full = JacobiSolver(variant="sram").solve(p, 8)
+        part = JacobiSolver(variant="sram").solve(p, 8, sim_iterations=2)
+        assert part.energy_j == pytest.approx(full.energy_j, rel=0.03)

@@ -1,7 +1,13 @@
 """CLI tests (driving main() in-process)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -13,6 +19,37 @@ class TestParser:
     def test_table_number_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "9"])
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--cores", "x3"],
+        ["ops", "sweep", "--cores", "2x2x2"],
+        ["cluster", "solve", "--cards", "0x1"],
+        ["faults", "--seeds", "1,x"],
+        ["serve", "chaos", "--intensities", "1,a"],
+    ])
+    def test_malformed_values_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_comma_lists_drop_empty_entries(self):
+        parse = build_parser().parse_args
+        assert parse(["bench", "--only", "engine_events,,cb_roundtrip"]) \
+            .only == parse(["bench", "--only", "engine_events,cb_roundtrip"]) \
+            .only
+
+    def test_table_registry_loads_drivers_lazily(self):
+        # the reference data is imported on hot set-up paths; it must not
+        # pull in any table driver
+        code = ("import sys, repro.experiments.reference; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('repro.experiments.table')))")
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src))
+                             ).stdout
+        assert out.strip() == "[]"
 
 
 class TestCommands:
@@ -57,6 +94,17 @@ class TestCommands:
                      "--iterations", "2", "--variant", "initial"]) == 0
         out = capsys.readouterr().out
         assert "bottleneck" in out
+
+    def test_solve_sram_variant(self, capsys):
+        assert main(["solve", "--variant", "sram", "--nx", "32",
+                     "--ny", "32", "--iterations", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "variant=sram" in out and "interior range" in out
+
+    def test_profile_sram_variant(self, capsys):
+        assert main(["profile", "--nx", "32", "--ny", "32",
+                     "--iterations", "2", "--variant", "sram"]) == 0
+        assert "bottleneck" in capsys.readouterr().out
 
 
 class TestSweepCommand:

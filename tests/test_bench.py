@@ -6,9 +6,12 @@ hand-built documents.  The full suite execution lives in
 ``benchmarks/perf/`` (tier 2).
 """
 
+import json
+
 import pytest
 
 from repro import bench
+from repro.cli import main
 
 
 def _doc(results, smoke=True):
@@ -123,10 +126,10 @@ class TestRunner:
 
         def flaky(smoke):
             calls["n"] += 1
-            return 0.01, 100.0, {"events": calls["n"]}
+            return (lambda: None), (lambda _: {"events": calls["n"]})
 
         monkeypatch.setitem(bench.BENCHMARKS, "flaky",
-                            ("micro", "x_per_sec", "1/s", True, flaky))
+                            (flaky, "x_per_sec", "events"))
         with pytest.raises(bench.BenchError, match="invariants changed"):
             bench.run_benchmarks(reps=2, only=["flaky"])
 
@@ -182,3 +185,20 @@ class TestSchemaAdditions:
         assert "jacobi_single" in pre["benchmarks"]
         # micro benchmarks are not part of the prepass
         assert "engine_events" not in pre["benchmarks"]
+
+
+class TestCli:
+    def test_bench_command_writes_and_checks_a_report(self, capsys,
+                                                      tmp_path):
+        argv = ["bench", "--smoke", "--only", "engine_events",
+                "--reps", "1"]
+        first = tmp_path / "first.json"
+        assert main(argv + ["--out", str(first)]) == 0
+        assert "engine_events" in capsys.readouterr().out
+        assert main(argv + ["--out", str(tmp_path / "second.json"),
+                            "--check", "--baseline", str(first),
+                            "--tolerance", "1000"]) == 0
+        assert "OK: no regressions" in capsys.readouterr().out
+        (res,) = json.loads(first.read_text())["results"]
+        assert res["value"] == \
+            res["invariants"]["events"] / res["rep_walls"][0]
