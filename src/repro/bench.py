@@ -392,9 +392,10 @@ def _bench_lint_smoke(smoke: bool) -> Bench:
 
     Builds (off the clock) the optimised Jacobi launch twice — single
     core and the paper's full 12x9 = 108-core grid, 324 kernel
-    instances — then times ``lint.lint_program`` over both with a cold
-    symbolic-trace cache, i.e. the K/P/R passes plus the cross-core
-    happens-before analysis end to end.  The invariants pin zero
+    instances — then times ``lint.lint_program`` over both with cold
+    caches (``lint.clear_caches()``: no symbolic traces, no memoised
+    reports), i.e. the K/P/R passes plus the cross-core happens-before
+    analysis end to end, in every rep.  The invariants pin zero
     findings, the kernel-instance count and the rule-catalogue size:
     a new rule firing on shipped kernels, a lost rule, or a change in
     program assembly is a semantic change, not noise.
@@ -403,7 +404,6 @@ def _bench_lint_smoke(smoke: bool) -> Bench:
     from repro.arch.device import GrayskullDevice
     from repro.core.grid import LaplaceProblem
     from repro.core.jacobi_optimized import OptimizedJacobiRunner
-    from repro.lint import trace as lint_trace
     from repro.ttmetal import create_buffer
 
     programs = []
@@ -423,7 +423,7 @@ def _bench_lint_smoke(smoke: bool) -> Bench:
                 "kernels": sum(len(p.kernels) for p in programs),
                 "rules": len(lint.all_rules())}
 
-    lint_trace._TRACE_CACHE.clear()   # cold cache: time the full analysis
+    lint.clear_caches()   # cold caches: time the full analysis
     return (lambda: [lint.lint_program(p) for p in programs]), invariants
 
 

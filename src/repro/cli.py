@@ -64,7 +64,7 @@ from repro import ops as opslib
 from repro.core.solver import JacobiSolver
 from repro.experiments import TABLES, run_table
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "lint_sweep"]
 
 
 def _core_grid(text: str) -> Tuple[int, int]:
@@ -746,32 +746,50 @@ def _cmd_lint(args) -> int:
         return _emit_lint_report(
             report, args, f"OK: no findings in corpus {args.corpus}")
 
-    from repro.arch.device import GrayskullDevice
-    from repro.core.grid import LaplaceProblem
-    from repro.streaming import StreamConfig, run_streaming
-
-    problem = LaplaceProblem(nx=64, ny=64)
-    # every Jacobi generation on one core, plus the optimised 2x2 launch
-    solvers = [JacobiSolver(variant=v) for v in JacobiSolver.VARIANTS]
-    solvers.append(JacobiSolver(cores=(2, 2)))
     with lint.capture() as report:
-        for solver in solvers:
-            dev = GrayskullDevice(dram_bank_capacity=64 << 20)
-            solver.des_runner(dev, problem).run(2, read_back=False)
-        for op_spec in opslib.list_ops():
-            op_problem = op_spec.make_problem(64, 0)
-            op_spec.run(op_problem, cores=(1, 1))
-            op_spec.run(op_problem, cores=(2, 2))
-        run_streaming(StreamConfig(rows=64, row_elems=1024))
-        run_streaming(StreamConfig(rows=64, row_elems=1024, sync_read=True,
-                                   sync_write=True, contiguous=False,
-                                   replication=2, page_size=2048))
+        for _name, run in lint_sweep():
+            run()
         if not args.skip_examples:
             _lint_examples()
     n_programs = "shipped kernels and examples" if not args.skip_examples \
         else "shipped kernels"
     return _emit_lint_report(report, args,
                              f"OK: no findings across {n_programs}")
+
+
+def lint_sweep() -> List[Tuple[str, Callable[[], object]]]:
+    """The shipped launches ``repro lint`` sweeps, as ``(name, run)`` pairs.
+
+    Each ``run`` builds its program on a fresh device and launches it.
+    """
+    from repro.arch.device import GrayskullDevice
+    from repro.core.grid import LaplaceProblem
+    from repro.streaming import StreamConfig, run_streaming
+
+    problem = LaplaceProblem(nx=64, ny=64)
+
+    def jacobi(solver):
+        def run():
+            dev = GrayskullDevice(dram_bank_capacity=64 << 20)
+            return solver.des_runner(dev, problem).run(2, read_back=False)
+        return run
+
+    def op(spec, cores):
+        return lambda: spec.run(spec.make_problem(64, 0), cores=cores)
+
+    # every Jacobi generation on one core, plus the optimised 2x2 launch
+    sweep = [(f"jacobi-{v}", jacobi(JacobiSolver(variant=v)))
+             for v in JacobiSolver.VARIANTS]
+    sweep.append(("jacobi-2x2", jacobi(JacobiSolver(cores=(2, 2)))))
+    for spec in opslib.list_ops():
+        sweep += [(f"{spec.name}-{n}x{n}", op(spec, (n, n))) for n in (1, 2)]
+    sweep.append(("stream", lambda: run_streaming(
+        StreamConfig(rows=64, row_elems=1024))))
+    sweep.append(("stream-sync-replicated", lambda: run_streaming(
+        StreamConfig(rows=64, row_elems=1024, sync_read=True,
+                     sync_write=True, contiguous=False, replication=2,
+                     page_size=2048))))
+    return sweep
 
 
 def _lint_examples() -> None:

@@ -297,7 +297,9 @@ def _kernels(spec: StencilSpec, rhs: bool) -> _Kernels:
     """Generate the reader and compute kernels of ``spec``.
 
     Memoised on the frozen spec, so every launch of one spec binds the
-    same function objects and the lint trace cache hits.  Their closure
+    same function objects: that identity is what makes both the lint
+    trace cache and the lint report memo hit (a fresh closure per launch
+    would be traced and linted in full every time).  Their closure
     constants play the role of tt-metal compile-time args: the lint
     tracer unrolls the tap and group loops over them and sees every CB
     id as a constant.

@@ -25,7 +25,10 @@ simulator runs:
 ``EnqueueProgram`` runs the pass automatically (warn by default,
 ``lint="strict"`` or ``REPRO_LINT=strict`` raises :class:`LintError`,
 ``lint="off"``/``REPRO_LINT=off`` disables), and ``python -m repro
-lint`` sweeps every shipped kernel and example.  See
+lint`` sweeps every shipped kernel and example.  Repeat launches of one
+program shape lint once: :func:`lint_program` reuses the findings of an
+earlier program with the same value-only signature
+(:mod:`repro.lint.memo`), and :func:`clear_caches` forgets them.  See
 ``docs/lint_rules.md`` for the full rule catalogue.
 """
 
@@ -36,10 +39,11 @@ from typing import List
 
 from .concurrency import concurrency_findings
 from .findings import Finding, LintError, LintReport, LintWarning, Severity
+from .memo import MEMO, signature
 from .registry import RULES, Rule, all_rules, make_finding
 from .rules_kernel import kernel_findings, lint_kernel
 from .rules_program import lint_l1_regions, program_findings
-from .trace import KernelTrace, extract_trace
+from .trace import _TRACE_CACHE, KernelTrace, extract_trace
 from .witness import ReplayResult, Witness, WitnessStep, replay_witness
 
 __all__ = [
@@ -49,7 +53,7 @@ __all__ = [
     "concurrency_findings",
     "Witness", "WitnessStep", "ReplayResult", "replay_witness",
     "extract_trace", "KernelTrace",
-    "capture", "deliver",
+    "capture", "deliver", "clear_caches",
 ]
 
 # active capture() collectors (innermost last); when one is active,
@@ -84,14 +88,32 @@ def deliver(report: LintReport) -> bool:
     return True
 
 
-def lint_program(program) -> LintReport:
-    """Run all kernel, program and launch rules over an assembled Program."""
+def _run_rules(program) -> List[Finding]:
     findings: List[Finding] = []
     for spec in getattr(program, "kernels", []):
         findings.extend(kernel_findings(extract_trace(spec.fn)))
     findings.extend(program_findings(program))
     findings.extend(concurrency_findings(program))
     # the same kernel fn on many cores yields identical findings: dedupe
-    report = LintReport(scope="program")
-    report.findings = list(dict.fromkeys(findings))
-    return report
+    return list(dict.fromkeys(findings))
+
+
+def lint_program(program) -> LintReport:
+    """Run all kernel, program and launch rules over an assembled Program.
+
+    A program whose signature (every rule input, as plain values) matches
+    an earlier one's gets that program's findings in a new report.
+    """
+    sig = signature(program)
+    findings = MEMO.get(sig)
+    if findings is None:
+        findings = _run_rules(program)
+        MEMO.put(sig, findings)
+    return LintReport(findings=list(findings), scope="program")
+
+
+def clear_caches() -> None:
+    """Forget every kernel trace and memoised program report, so the
+    next lint runs the full analysis."""
+    _TRACE_CACHE.clear()
+    MEMO.clear()

@@ -72,7 +72,7 @@ def _referenced_cbs(call: Call):
 # per-core CB graph: P201 / P202 / P207
 # --------------------------------------------------------------------------
 
-def _cb_graph_rules(core, specs, traces, configured: Dict[int, int],
+def _cb_graph_rules(core, traces, configured: Dict[int, int],
                     findings: List[Finding]) -> None:
     opaque_core = any(t.unavailable or t.truncated for t in traces)
     if opaque_core:
@@ -390,7 +390,7 @@ def program_findings(program) -> List[Finding]:
         for cb_id, cb in getattr(core, "cbs", {}).items():
             configured.setdefault(cb_id, cb.n_pages)
         traces = [extract_trace(spec.fn) for spec in specs]
-        _cb_graph_rules(core, specs, traces, configured, findings)
+        _cb_graph_rules(core, traces, configured, findings)
         _p204(core, findings)
         for spec, trace in zip(specs, traces):
             if trace.unavailable:

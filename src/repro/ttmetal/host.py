@@ -315,13 +315,6 @@ def _prepare_launch(spec: _KernelSpec, device: GrayskullDevice) -> tuple:
     return cache
 
 
-def _make_ctx(spec: _KernelSpec, device: GrayskullDevice):
-    _device, args, _name = _prepare_launch(spec, device)
-    if spec.slot == COMPUTE:
-        return ComputeCtx(spec.core, args)
-    return DataMoverCtx(spec.core, spec.slot, args)
-
-
 def _maybe_lint(program: Program, mode: Optional[str]) -> None:
     """Run the static verifier over ``program`` per the lint mode.
 
