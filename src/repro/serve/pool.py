@@ -15,10 +15,9 @@ index-keyed plan), and a per-device
 :class:`~repro.faults.plan.FaultPlan` (built by
 :func:`repro.serve.chaos.build_chaos`) arms NoC delays/drops, ECC
 scrubs, timed kernel hangs, in-flight SDC and mid-launch core failures.
-The per-launch watchdog converts hangs into a
-:class:`~repro.ttmetal.host.DeviceHangError` carrying a per-core stall
-report, and the service retries the victims on another member (or
-degrades them to the CPU backend) — recorded on a
+The per-launch watchdog writes a ``serve.hang … detected`` row that
+counts the stalled members, and the service retries the victims on
+another member (or degrades them to the CPU backend) — recorded on a
 :class:`~repro.analysis.resilience.FaultTrace`, never dropped.  Each
 device also carries a :class:`~repro.serve.health.MemberHealth` breaker
 that decides, from the member's recent fault history, whether it may
@@ -40,7 +39,7 @@ from repro.perfmodel.cpumodel import XeonModel
 from repro.perfmodel.scaling import JacobiScalingModel
 from repro.serve.health import HealthConfig, MemberHealth
 from repro.serve.request import SolveRequest
-from repro.ttmetal.host import CoreStall, DeviceHangError
+from repro.serve.scheduler import BatchPlan, plan_batch
 
 __all__ = [
     "CpuWorker",
@@ -48,6 +47,7 @@ __all__ = [
     "PoolConfig",
     "ServeHang",
     "WorkerPool",
+    "batch_service_s",
     "best_case_service_s",
     "cluster_cards_needed",
     "cluster_service_time",
@@ -217,6 +217,15 @@ def launch_overhead_s(requests: Sequence[SolveRequest],
     return 2 * costs.pcie_latency + total / costs.pcie_bw
 
 
+def batch_service_s(plan: BatchPlan,
+                    costs: CostModel = DEFAULT_COSTS) -> List[float]:
+    """Fault-free service time of each request in a one-member batch:
+    the batch's PCIe overhead plus the request's solve on its slice."""
+    overhead = launch_overhead_s(plan.requests, costs)
+    return [overhead + device_service_time(req, cy, cx, costs)
+            for req, (cy, cx) in zip(plan.requests, plan.allocations)]
+
+
 def best_case_service_s(req: SolveRequest, cfg: PoolConfig,
                         costs: CostModel = DEFAULT_COSTS) -> float:
     """Lower bound on ``req``'s service time: a whole pool member to itself.
@@ -230,11 +239,7 @@ def best_case_service_s(req: SolveRequest, cfg: PoolConfig,
     need = cluster_cards_needed(req, cfg.card_point_capacity)
     if need > 1:
         return cluster_service_time(req, need, cfg, costs)
-    gy, gx = cfg.grid
-    cy = max(1, min(gy, req.ny))
-    cx = max(1, min(gx, req.nx))
-    return launch_overhead_s([req], costs) \
-        + device_service_time(req, cy, cx, costs)
+    return batch_service_s(plan_batch([req], cfg.grid), costs)[0]
 
 
 def cluster_cards_needed(req: SolveRequest,
@@ -370,10 +375,6 @@ class DeviceMember(_Member):
             self.failed_cores += 1
 
     # -- fault-plan consumption -------------------------------------------
-    def next_launch_hangs(self) -> bool:
-        """Whether the launch about to start is wedged by the hang plan."""
-        return self.launches in self._hang_at
-
     def take_hang(self, now: float, launch_index: int) -> bool:
         """Consume a hang wedging the launch starting now (if armed)."""
         if launch_index in self._hang_at:
@@ -397,13 +398,6 @@ class DeviceMember(_Member):
 
     def take_core_failures(self, launch_index: int) -> List[CoreFailure]:
         return self._fail_at.pop(launch_index, [])
-
-    def hang_error(self, t: float, timeout_s: float) -> DeviceHangError:
-        """The watchdog report for a wedged launch, in the host vocabulary."""
-        stall = CoreStall(core=(0, 0), slot="compute",
-                          kernel=f"serve.launch{self.launches}@{self.name}",
-                          waiting_on="cb.wait_front", since_s=t)
-        return DeviceHangError([stall], t=t + timeout_s, timeout_s=timeout_s)
 
 
 class CpuWorker(_Member):

@@ -143,7 +143,11 @@ class BoundedPriorityQueue:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """One device launch: requests and their core-grid slices."""
+    """One device launch: requests and their core-grid slices.
+
+    A cluster span is one request whose allocation is its card grid
+    (cards_y, cards_x) instead of a core slice.
+    """
 
     requests: Tuple[SolveRequest, ...]
     allocations: Tuple[Tuple[int, int], ...]   #: (cy, cx) per request

@@ -58,10 +58,9 @@ from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
 from repro.serve.health import HealthConfig
 from repro.cluster.topology import card_splits
 from repro.serve.pool import (CpuWorker, DeviceMember, PoolConfig, ServeHang,
-                              WorkerPool, best_case_service_s,
-                              cluster_cards_needed, cluster_service_time,
-                              cpu_service_time, device_service_time,
-                              launch_overhead_s)
+                              WorkerPool, batch_service_s,
+                              best_case_service_s, cluster_cards_needed,
+                              cluster_service_time, cpu_service_time)
 from repro.serve.request import (AdmissionError, RequestOutcome,
                                  SolveRequest)
 from repro.serve.scheduler import (BatchPlan, BoundedPriorityQueue,
@@ -231,7 +230,7 @@ class SolveService:
         if dev is not None:
             plan = self._form_device_batch(dev)
             if plan is not None:
-                self._launch_device(dev, plan)
+                self._launch([dev], plan, batch_service_s(plan, self.costs))
                 return True
         return False
 
@@ -284,7 +283,11 @@ class SolveService:
         self._pending_cluster = None
         for dev in devs:
             dev.reserved = False
-        self._launch_cluster(devs, req)
+        self.metrics.trace.record(now, "serve.cluster", f"req{req.rid}",
+                                  "spanned", "+".join(d.name for d in devs))
+        self._launch(devs, BatchPlan((req,), (card_splits(need),)),
+                     [cluster_service_time(req, need, self.pool_cfg,
+                                           self.costs)])
         return True
 
     def _shed_expired(self, now: float) -> None:
@@ -350,17 +353,27 @@ class SolveService:
                        cores=None, batch_id=None, batch_size=1, start_s=t0)
         self._wake()
 
-    def _launch_device(self, dev: DeviceMember, plan: BatchPlan) -> None:
+    def _launch(self, devs: List[DeviceMember], plan: BatchPlan,
+                base_s: Sequence[float]) -> None:
+        """Start one launch of ``plan`` on every member of ``devs``.
+
+        ``base_s`` is each request's fault-free service time.  A batch is
+        one member serving N packed requests; a cluster span is M members
+        serving one request on its card grid.
+        """
         batch_id = self._batch_seq
         self._batch_seq += 1
-        dev.busy = True
-        self.metrics.bump("launches.device")
+        for dev in devs:
+            dev.busy = True
+        self.metrics.bump("launches.device" if len(devs) == 1
+                          else "launches.cluster")
         if len(plan) >= 2:
             self.metrics.bump("batches.multi")
             self.metrics.bump("batched_requests", by=len(plan))
         self.metrics.sample_depth(self.sim.now, len(self.queue))
-        self.sim.process(self._run_device(dev, plan, batch_id),
-                         name=f"serve.{dev.name}.batch{batch_id}")
+        worker = "+".join(d.name for d in devs)
+        self.sim.process(self._run_launch(devs, plan, base_s, batch_id),
+                         name=f"serve.{worker}.batch{batch_id}")
 
     def _consume_timed(self, dev: DeviceMember, t0: float) -> float:
         """Fold pending NoC/ECC faults into a launch-start stretch."""
@@ -388,193 +401,70 @@ class SolveService:
             stretch += extra
         return stretch
 
-    def _run_device(self, dev: DeviceMember, plan: BatchPlan,
-                    batch_id: int):
+    def _run_launch(self, devs: List[DeviceMember], plan: BatchPlan,
+                    base_s: Sequence[float], batch_id: int):
+        """Run one device launch on ``devs`` through the fault pipeline.
+
+        Every member is busy for the whole launch.  A fault on *any*
+        member hits the launch, as a real multi-card launch stalls on its
+        slowest or sickest card, and feeds the breaker of the member it
+        struck.
+        """
         t0 = self.sim.now
-        launch_index = dev.launches
-        dev.launches += 1
-        overhead = launch_overhead_s(plan.requests, self.costs)
-        factor = dev.capacity_factor()
-        times = [(overhead + device_service_time(req, cy, cx, self.costs))
-                 * factor
-                 for req, (cy, cx) in zip(plan.requests, plan.allocations)]
+        index: Dict[DeviceMember, int] = {}
+        for dev in devs:
+            index[dev] = dev.launches
+            dev.launches += 1
+        worker = "+".join(d.name for d in devs)
+        launch = "+".join(f"{d.name}.launch{index[d]}" for d in devs)
+        factor = max(d.capacity_factor() for d in devs)
+        times = [t * factor for t in base_s]
         faulted = False
 
-        stretch = self._consume_timed(dev, t0)
+        stretch = sum(self._consume_timed(dev, t0) for dev in devs)
         if stretch:
             times = [t + stretch for t in times]
 
         # Core failures striking mid-launch: the launch restarts from the
-        # last checkpoint on a remapped (smaller) core set; later
-        # launches on this member run at the degraded capacity.
-        restarts = 0
-        for death in dev.take_core_failures(launch_index):
-            before = max(times)
-            old_factor = dev.capacity_factor()
-            dev.fail_core()
-            ratio = dev.capacity_factor() / old_factor
-            ckpt = self.pool_cfg.checkpoint_every
-            new_times = []
-            for req, t_full in zip(plan.requests, times):
-                iters = req.effective_iterations
-                done_iters = (int(_STRIKE_FRACTION * iters)
-                              // ckpt) * ckpt
-                redo = 1.0 - done_iters / iters
-                new_times.append(_STRIKE_FRACTION * t_full
-                                 + self.pool_cfg.restart_overhead_s
-                                 + redo * t_full * ratio)
-            times = new_times
-            restarts += 1
-            faulted = True
-            self.metrics.bump("chaos.core_failure")
-            self.metrics.bump("restarts")
-            self.metrics.attribute("core.failure", max(times) - before)
-            self.metrics.trace.record(
-                t0, "core.failure",
-                f"{dev.name}.core({death.iy},{death.ix})", "injected",
-                f"launch{launch_index}")
-            self.metrics.trace.record(
-                t0, "core.failure", f"{dev.name}.launch{launch_index}",
-                "remapped",
-                f"checkpoint-restart.{dev.failed_cores}core(s)-out")
-            self._note_fault(dev, "core_failure")
-            for req in plan.requests:
-                state = self._states.get(req.rid)
-                if state is not None:
-                    state.restarts += 1
-
-        expected = max(times)
-        if dev.take_hang(t0, launch_index):
-            timeout_s = self.pool_cfg.watchdog_factor * expected
-            yield self.sim.timeout(timeout_s)
-            err = dev.hang_error(t0, timeout_s)
-            dev.busy_s += timeout_s
-            dev.busy = False
-            self.metrics.bump("hangs")
-            self.metrics.attribute("hang", timeout_s)
-            self.metrics.trace.record(
-                self.sim.now, "serve.hang",
-                f"{dev.name}.launch{launch_index}", "detected",
-                f"watchdog@{timeout_s:.6g}s.{len(err.stalls)}stall(s)")
-            self._note_fault(dev, "hang")
-            for req in plan.requests:
-                self._retry_or_degrade(req, dev, why="hang")
-            self._wake()
-            return
-
-        # SDC armed for this launch: the flip lands in one request's
-        # slice and is caught at readback by the range check (the plan
-        # targets the detectable exponent bit — see faults.plan).
-        victims: Dict[int, int] = {}
-        for flip in dev.take_sdc(launch_index):
-            i = flip.row % len(plan)
-            victims[i] = victims.get(i, 0) + 1
-
-        # Requests complete as their core slices finish (staggered); the
-        # member frees when the slowest slice does.
-        order = sorted(range(len(plan)), key=lambda i: (times[i], i))
-        elapsed = 0.0
-        for i in order:
-            if times[i] > elapsed:
-                yield self.sim.timeout(times[i] - elapsed)
-                elapsed = times[i]
-            req = plan.requests[i]
-            if i in victims:
-                hits = victims[i]
-                faulted = True
-                self.metrics.bump("sdc.injected", by=hits)
-                self.metrics.bump("sdc.detected", by=hits)
-                where = f"req{req.rid}@{dev.name}.launch{launch_index}"
-                self.metrics.trace.record(self.sim.now, "solver.sdc",
-                                          where, "injected",
-                                          f"{hits}flip(s).bit14")
-                self.metrics.trace.record(self.sim.now, "solver.sdc",
-                                          where, "detected",
-                                          "range-check@readback")
-                state = self._states.get(req.rid)
-                if state is not None:
-                    state.sdc_detected += hits
-                self._note_fault(dev, "sdc")
-                self._retry_or_degrade(req, dev, why="sdc")
-            else:
-                self._complete(req, worker=dev.name, backend_used="device",
-                               cores=plan.allocations[i], batch_id=batch_id,
-                               batch_size=len(plan), start_s=t0)
-        if expected > elapsed:
-            yield self.sim.timeout(expected - elapsed)
-        dev.busy_s += expected
-        dev.busy = False
-        if not faulted:
-            self._note_success(dev)
-        self._wake()
-
-    # -- cluster spans ------------------------------------------------------
-    def _launch_cluster(self, devs: List[DeviceMember],
-                        req: SolveRequest) -> None:
-        batch_id = self._batch_seq
-        self._batch_seq += 1
+        # last checkpoint on the struck member's remapped (smaller) core
+        # set; later launches on that member run at the degraded capacity.
         for dev in devs:
-            dev.busy = True
-        self.metrics.bump("launches.cluster")
-        self.metrics.sample_depth(self.sim.now, len(self.queue))
-        names = "+".join(d.name for d in devs)
-        self.metrics.trace.record(self.sim.now, "serve.cluster",
-                                  f"req{req.rid}", "spanned", names)
-        self.sim.process(self._run_cluster_span(devs, req, batch_id),
-                         name=f"serve.cluster.req{req.rid}")
-
-    def _run_cluster_span(self, devs: List[DeviceMember], req: SolveRequest,
-                          batch_id: int):
-        """One oversized request occupying ``devs`` for a whole span.
-
-        The span's service time is the cluster halo-exchange timeline
-        (scatter, barriered iterations, staged halo rounds, gather);
-        every member is busy for all of it — faults on *any* member hit
-        the whole span, exactly as a real multi-card launch would stall
-        on its slowest or sickest card.
-        """
-        t0 = self.sim.now
-        launch_index = {d.name: d.launches for d in devs}
-        for dev in devs:
-            dev.launches += 1
-        names = "+".join(d.name for d in devs)
-        time_s = cluster_service_time(req, len(devs), self.pool_cfg,
-                                      self.costs) \
-            * max(d.capacity_factor() for d in devs)
-        time_s += sum(self._consume_timed(d, t0) for d in devs)
-        faulted = False
-
-        # A core failure on any member checkpoint-restarts the span on
-        # that member's remapped (smaller) core set.
-        for dev in devs:
-            for death in dev.take_core_failures(launch_index[dev.name]):
-                before = time_s
+            for death in dev.take_core_failures(index[dev]):
+                before = max(times)
                 old_factor = max(d.capacity_factor() for d in devs)
                 dev.fail_core()
-                ratio = max(d.capacity_factor()
-                            for d in devs) / old_factor
+                ratio = max(d.capacity_factor() for d in devs) / old_factor
                 ckpt = self.pool_cfg.checkpoint_every
-                iters = req.effective_iterations
-                done_iters = (int(_STRIKE_FRACTION * iters) // ckpt) * ckpt
-                redo = 1.0 - done_iters / iters
-                time_s = _STRIKE_FRACTION * time_s \
-                    + self.pool_cfg.restart_overhead_s \
-                    + redo * time_s * ratio
+                new_times = []
+                for req, t_full in zip(plan.requests, times):
+                    iters = req.effective_iterations
+                    done_iters = (int(_STRIKE_FRACTION * iters)
+                                  // ckpt) * ckpt
+                    redo = 1.0 - done_iters / iters
+                    new_times.append(_STRIKE_FRACTION * t_full
+                                     + self.pool_cfg.restart_overhead_s
+                                     + redo * t_full * ratio)
+                times = new_times
                 faulted = True
                 self.metrics.bump("chaos.core_failure")
                 self.metrics.bump("restarts")
-                self.metrics.attribute("core.failure", time_s - before)
+                self.metrics.attribute("core.failure", max(times) - before)
                 self.metrics.trace.record(
                     t0, "core.failure",
                     f"{dev.name}.core({death.iy},{death.ix})", "injected",
-                    f"cluster.req{req.rid}")
-                state = self._states.get(req.rid)
-                if state is not None:
-                    state.restarts += 1
+                    f"launch{index[dev]}")
+                self.metrics.trace.record(
+                    t0, "core.failure", f"{dev.name}.launch{index[dev]}",
+                    "remapped",
+                    f"checkpoint-restart.{dev.failed_cores}core(s)-out")
+                self._note_fault(dev, "core_failure")
+                for req in plan.requests:
+                    state = self._states.get(req.rid)
+                    if state is not None:
+                        state.restarts += 1
 
-        expected = time_s
-        hung = [d for d in devs
-                if d.take_hang(t0, launch_index[d.name])]
+        expected = max(times)
+        hung = [dev for dev in devs if dev.take_hang(t0, index[dev])]
         if hung:
             timeout_s = self.pool_cfg.watchdog_factor * expected
             yield self.sim.timeout(timeout_s)
@@ -584,41 +474,61 @@ class SolveService:
             self.metrics.bump("hangs")
             self.metrics.attribute("hang", timeout_s)
             self.metrics.trace.record(
-                self.sim.now, "serve.hang", f"cluster.req{req.rid}@{names}",
-                "detected", f"watchdog@{timeout_s:.6g}s."
-                f"{len(hung)}member(s)")
+                self.sim.now, "serve.hang", launch, "detected",
+                f"watchdog@{timeout_s:.6g}s.{len(hung)}stall(s)")
             for dev in hung:
                 self._note_fault(dev, "hang")
-            self._retry_or_degrade(req, hung[0], why="hang")
+            for req in plan.requests:
+                self._retry_or_degrade(req, worker, why="hang")
             self._wake()
             return
 
-        sdc_members = [d for d in devs
-                       if d.take_sdc(launch_index[d.name])]
-        yield self.sim.timeout(expected)
+        # SDC armed for this launch: each flip lands in one request's
+        # slice and is caught at readback by the range check (the plan
+        # targets the detectable exponent bit — see faults.plan).
+        flipped: Dict[int, List[DeviceMember]] = {}
+        for dev in devs:
+            for flip in dev.take_sdc(index[dev]):
+                flipped.setdefault(flip.row % len(plan), []).append(dev)
+
+        # Requests complete as their core slices finish (staggered); the
+        # members free when the slowest slice does.
+        order = sorted(range(len(plan)), key=lambda i: (times[i], i))
+        elapsed = 0.0
+        for i in order:
+            if times[i] > elapsed:
+                yield self.sim.timeout(times[i] - elapsed)
+                elapsed = times[i]
+            req = plan.requests[i]
+            if i in flipped:
+                hits = len(flipped[i])
+                faulted = True
+                self.metrics.bump("sdc.injected", by=hits)
+                self.metrics.bump("sdc.detected", by=hits)
+                where = f"req{req.rid}@{launch}"
+                self.metrics.trace.record(self.sim.now, "solver.sdc",
+                                          where, "injected",
+                                          f"{hits}flip(s).bit14")
+                self.metrics.trace.record(self.sim.now, "solver.sdc",
+                                          where, "detected",
+                                          "range-check@readback")
+                state = self._states.get(req.rid)
+                if state is not None:
+                    state.sdc_detected += hits
+                for dev in dict.fromkeys(flipped[i]):
+                    self._note_fault(dev, "sdc")
+                self._retry_or_degrade(req, worker, why="sdc")
+            else:
+                self._complete(req, worker=worker, backend_used="device",
+                               cores=plan.allocations[i], batch_id=batch_id,
+                               batch_size=len(plan), start_s=t0)
+        if expected > elapsed:
+            yield self.sim.timeout(expected - elapsed)
         for dev in devs:
             dev.busy_s += expected
             dev.busy = False
-        if sdc_members:
-            hits = len(sdc_members)
-            self.metrics.bump("sdc.injected", by=hits)
-            self.metrics.bump("sdc.detected", by=hits)
-            where = f"req{req.rid}@{names}"
-            self.metrics.trace.record(self.sim.now, "solver.sdc", where,
-                                      "detected", "range-check@gather")
-            state = self._states.get(req.rid)
-            if state is not None:
-                state.sdc_detected += hits
-            for dev in sdc_members:
-                self._note_fault(dev, "sdc")
-            self._retry_or_degrade(req, sdc_members[0], why="sdc")
-        else:
-            self._complete(req, worker=names, backend_used="device",
-                           cores=card_splits(len(devs)), batch_id=batch_id,
-                           batch_size=1, start_s=t0)
             if not faulted:
-                for dev in devs:
-                    self._note_success(dev)
+                self._note_success(dev)
         self._wake()
 
     # -- health lifecycle --------------------------------------------------
@@ -658,11 +568,8 @@ class SolveService:
         cfg = self.health_cfg
         canary = SolveRequest(rid=0, nx=cfg.canary_nx, ny=cfg.canary_ny,
                               iterations=cfg.canary_iterations)
-        cy = max(1, min(dev.grid[0], canary.ny))
-        cx = max(1, min(dev.grid[1], canary.nx))
-        return (launch_overhead_s([canary], self.costs)
-                + device_service_time(canary, cy, cx, self.costs)) \
-            * dev.capacity_factor()
+        plan = plan_batch([canary], dev.grid)
+        return batch_service_s(plan, self.costs)[0] * dev.capacity_factor()
 
     def _probe_quarantined(self, dev: DeviceMember, epoch: int):
         """Drain a quarantined member, canary-probe it, reintegrate it.
@@ -724,11 +631,11 @@ class SolveService:
             yield self.sim.timeout(cfg.probe_interval_s)
 
     # -- retries and terminal outcomes -------------------------------------
-    def _retry_or_degrade(self, req: SolveRequest, dev: DeviceMember,
+    def _retry_or_degrade(self, req: SolveRequest, worker: str,
                           why: str = "hang") -> None:
         state = self._states.get(req.rid)
         now = self.sim.now
-        where = f"req{req.rid}@{dev.name}"
+        where = f"req{req.rid}@{worker}"
         if state is None:
             # The request already reached a terminal outcome (deadline
             # expired mid-launch); account the wasted work loudly.

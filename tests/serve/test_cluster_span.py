@@ -5,11 +5,16 @@ card reserves pool members as they free and launches once as a single
 cluster span (charged the :mod:`repro.cluster` halo-exchange timeline);
 grids needing more cards than the pool owns shed ``too_large`` at
 admission; with the capacity unset everything behaves exactly as
-before.
+before.  A span runs through the same fault pipeline as a batch, so a
+fault on any member is recorded, counted and fed to that member's
+breaker exactly as on a single-member launch.
 """
 
 import pytest
 
+from repro.faults.plan import (CoreFailure, FaultPlan, KernelHang,
+                               SolverBitFlip)
+from repro.serve.chaos import ChaosConfig, ChaosPlan
 from repro.serve.pool import (
     PoolConfig,
     cluster_cards_needed,
@@ -160,3 +165,69 @@ class TestSpanDispatch:
                     for o in svc.outcomes]
 
         assert run_once() == run_once()
+
+
+def run_span(plans):
+    """Serve one ``BIG`` span on three members armed with ``plans``."""
+    sim, svc = make_service(chaos=ChaosPlan(ChaosConfig(), tuple(plans)))
+    svc.submit(SolveRequest(rid=1, **BIG))
+    sim.run()
+    return svc
+
+
+def rows(svc, kind, action):
+    return [e for e in svc.metrics.trace.events
+            if e.kind == kind and e.action == action]
+
+
+def health(svc):
+    return [dev.health.state for dev in svc.pool.devices]
+
+
+CLEAN = FaultPlan(seed=0)
+
+
+class TestSpanFaults:
+    def test_core_failure_remaps_and_feeds_breaker(self):
+        struck = FaultPlan(seed=0, core_failures=(CoreFailure(0, 2, 3),))
+        svc = run_span([CLEAN, struck, CLEAN])
+        injected = rows(svc, "core.failure", "injected")
+        remapped = rows(svc, "core.failure", "remapped")
+        assert [e.where for e in injected] == ["e150-1.core(2,3)"]
+        assert [e.where for e in remapped] == ["e150-1.launch0"]
+        assert health(svc) == ["healthy", "suspect", "healthy"]
+        out = svc.outcomes[0]
+        assert out.status == "completed" and out.restarts == 1
+        assert svc.metrics.counters["restarts"] == 1
+        assert round(out.finish_s, 11) == 0.00111403047
+
+    def test_sdc_counted_per_flip(self):
+        def flips(*at_rows):
+            return tuple(SolverBitFlip(iteration=0, row=r, col=1, bit=14)
+                         for r in at_rows)
+
+        svc = run_span([FaultPlan(seed=0, solver=flips(1, 5)), CLEAN,
+                        FaultPlan(seed=0, solver=flips(2))])
+        assert svc.metrics.counters["sdc.injected"] == 3
+        assert svc.metrics.counters["sdc.detected"] == 3
+        injected = rows(svc, "solver.sdc", "injected")
+        detected = rows(svc, "solver.sdc", "detected")
+        assert [e.detail for e in injected] == ["3flip(s).bit14"]
+        assert [e.detail for e in detected] == ["range-check@readback"]
+        assert health(svc) == ["suspect", "healthy", "suspect"]
+        out = svc.outcomes[0]
+        assert out.status == "completed"
+        assert out.sdc_detected == 3 and out.retries == 1
+        assert svc.metrics.counters["retries"] == 1
+
+    def test_hang_on_two_members_is_one_watchdog(self):
+        hang = FaultPlan(seed=0, hangs=(KernelHang(0.0, (0, 0), "compute"),))
+        svc = run_span([hang, CLEAN, hang])
+        detected = rows(svc, "serve.hang", "detected")
+        assert len(detected) == 1
+        assert detected[0].detail.endswith("2stall(s)")
+        assert svc.metrics.counters["hangs"] == 1
+        assert health(svc) == ["suspect", "healthy", "suspect"]
+        out = svc.outcomes[0]
+        assert out.status == "completed" and out.retries == 1
+        assert svc.metrics.counters["retries"] == 1

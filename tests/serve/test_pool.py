@@ -83,18 +83,13 @@ class TestServiceTimes:
 class TestMembers:
     def test_hang_plan_targets_one_launch(self):
         dev = DeviceMember(0, (12, 9), [ServeHang(0, 1), ServeHang(1, 0)])
-        assert not dev.next_launch_hangs()       # launch 0 is clean
-        dev.launches = 1
-        assert dev.next_launch_hangs()           # launch 1 wedges
-        other = DeviceMember(1, (12, 9), [ServeHang(0, 1)])
-        other.launches = 1
-        assert not other.next_launch_hangs()     # plan is per-device
-
-    def test_hang_error_vocabulary(self):
-        dev = DeviceMember(0, (12, 9))
-        err = dev.hang_error(t=1.0, timeout_s=0.5)
-        assert err.timeout_s == 0.5
-        assert err.stalls and err.stalls[0].waiting_on == "cb.wait_front"
+        assert not dev.take_hang(0.0, 0)         # launch 0 is clean
+        assert dev.take_hang(0.0, 1)             # launch 1 wedges
+        assert not dev.take_hang(0.0, 1)         # ... exactly once
+        assert not dev.take_hang(0.0, 2)
+        other = DeviceMember(1, (12, 9), [ServeHang(0, 1), ServeHang(1, 0)])
+        assert not other.take_hang(0.0, 1)       # plan is per-device
+        assert other.take_hang(0.0, 0)
 
     def test_availability_tracks_health(self):
         dev = DeviceMember(0, (12, 9))

@@ -1,0 +1,45 @@
+"""Serve report bytes, pinned across commits.
+
+The CI serve jobs compare a run with a second run (or a replay) of the
+same commit, so a change that moves report bytes the same way in both
+runs passes them.  These tests pin ``sha256(report.to_json_text())[:16]``
+of two seeded runs that together drive every fault path of a device
+launch.  A change that moves a digest is a declared output change: it
+updates the digest here and says why.
+"""
+
+import hashlib
+
+from repro.serve.chaos import ChaosConfig
+from repro.serve.loadgen import LoadGenConfig, run_loadgen
+
+
+def digest(report) -> str:
+    return hashlib.sha256(report.to_json_text().encode()).hexdigest()[:16]
+
+
+def covered(report, names):
+    return {name: report.metrics.counters.get(name, 0) for name in names}
+
+
+def test_closed_loop_chaos_report_is_pinned():
+    report = run_loadgen(LoadGenConfig(mode="closed", seed=3, n_requests=48),
+                         chaos=ChaosConfig(seed=3, intensity=1.0),
+                         solve=False, jobs=1, cache=False)
+    # the pin guards every fault kind a device launch handles
+    assert covered(report, ["chaos.core_failure", "sdc.detected", "hangs",
+                            "chaos.noc.delay", "chaos.noc.drop",
+                            "chaos.ecc.scrub", "canary.failed",
+                            "batches.multi", "retries"]) == {
+        "chaos.core_failure": 2, "sdc.detected": 4, "hangs": 1,
+        "chaos.noc.delay": 3, "chaos.noc.drop": 1, "chaos.ecc.scrub": 4,
+        "canary.failed": 1, "batches.multi": 3, "retries": 5}
+    assert digest(report) == "5732e7356b2d5d14"
+
+
+def test_open_loop_hang_report_is_pinned():
+    report = run_loadgen(LoadGenConfig(mode="open", seed=0, n_requests=64),
+                         n_hangs=2, solve=False, jobs=1, cache=False)
+    assert covered(report, ["hangs", "batches.multi", "retries"]) == {
+        "hangs": 2, "batches.multi": 11, "retries": 4}
+    assert digest(report) == "83009c30fd3138cd"
