@@ -488,8 +488,12 @@ def _cmd_solve(args) -> int:
                           cores=args.cores, n_cards=args.cards,
                           n_threads=args.threads)
     problem = LaplaceProblem(nx=args.nx, ny=args.ny)
-    res = solver.solve(problem, args.iterations,
-                       sim_iterations=args.sim_iterations)
+    try:
+        res = solver.solve(problem, args.iterations,
+                           sim_iterations=args.sim_iterations)
+    except ValueError as exc:
+        print(f"solve: {exc}", file=sys.stderr)
+        return 2
     print(f"backend={res.backend} variant={res.variant} "
           f"cores={res.cores} cards={res.n_cards}")
     print(f"time    {res.time_s:.6g} s")
@@ -982,7 +986,7 @@ def _cmd_ops_run(args) -> int:
         return 1
     est = spec.estimate(problem, cores, DEFAULT_COSTS)
     params = " ".join(f"{k}={v}" for k, v in sorted(res.params.items()))
-    achieved = spec.flops(problem) / res.kernel_time_s / 1e9 \
+    achieved = problem.flops() / res.kernel_time_s / 1e9 \
         if res.kernel_time_s else 0.0
     print(f"op={res.op} cores={cores[0]}x{cores[1]} {params}")
     print(f"kernel   {res.kernel_time_s:.6g} s simulated "
@@ -1033,7 +1037,7 @@ def _cmd_ops_sweep(args) -> int:
                           file=sys.stderr)
                     continue
                 est = spec.estimate(problem, cores, DEFAULT_COSTS)
-                achieved = spec.flops(problem) / res.kernel_time_s / 1e9 \
+                achieved = problem.flops() / res.kernel_time_s / 1e9 \
                     if res.kernel_time_s else 0.0
                 pct = 100 * achieved / est.roofline_gflops \
                     if est.roofline_gflops else 0.0

@@ -55,6 +55,7 @@ from repro.ttmetal import (
 )
 
 __all__ = ["InitialConfig", "InitialJacobiRunner", "DeviceRunResult",
+           "simulated_iterations",
            "describe_dataflow", "CB_IN0", "CB_IN1", "CB_IN2", "CB_IN3",
            "CB_SCALAR", "CB_INTERMED", "CB_OUT0"]
 
@@ -125,6 +126,23 @@ class DeviceRunResult:
     def gpts(self) -> float:
         """Billion points per second — the paper's headline metric."""
         return self.points_per_s / 1e9
+
+
+def simulated_iterations(iterations: int,
+                         sim_iterations: Optional[int]) -> int:
+    """How many of ``iterations`` a DES runner simulates.
+
+    ``None`` simulates them all and a larger budget is capped at
+    ``iterations``.  A non-positive ``iterations`` or ``sim_iterations``
+    raises ``ValueError``: ``0`` never silently means "all".
+    """
+    if iterations <= 0:
+        raise ValueError("iterations must be positive")
+    if sim_iterations is None:
+        return iterations
+    if sim_iterations <= 0:
+        raise ValueError("sim_iterations must be positive")
+    return min(sim_iterations, iterations)
 
 
 def _aligned_range(offset: int, size: int, alignment: int) -> tuple[int, int, int]:
@@ -350,12 +368,7 @@ class InitialJacobiRunner:
         ``initial_grid`` (a full ``(ny+2, nx+2)`` BF16 halo grid) overrides
         the problem's default initial state.
         """
-        if iterations <= 0:
-            raise ValueError("iterations must be positive")
-        sim_iters = sim_iterations if sim_iterations is not None else iterations
-        sim_iters = min(sim_iters, iterations)
-        if sim_iters <= 0:
-            raise ValueError("sim_iterations must be positive")
+        sim_iters = simulated_iterations(iterations, sim_iterations)
 
         dev = self.device
         img = self.layout.pack(initial_grid)

@@ -40,7 +40,7 @@ from repro.arch.sram import SramExhausted
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
 from repro.core.decomposition import split_extent
 from repro.core.grid import AlignedDomain, LaplaceProblem
-from repro.core.jacobi_initial import DeviceRunResult
+from repro.core.jacobi_initial import DeviceRunResult, simulated_iterations
 from repro.dtypes.bf16 import BF16_BYTES, f32_to_bits
 from repro.dtypes.tiles import TILE_ELEMS
 from repro.sim.resources import Semaphore
@@ -248,9 +248,7 @@ class SramJacobiRunner:
     def run(self, iterations: int,
             sim_iterations: Optional[int] = None,
             read_back: bool = True) -> DeviceRunResult:
-        if iterations <= 0:
-            raise ValueError("iterations must be positive")
-        sim_iters = min(sim_iterations or iterations, iterations)
+        sim_iters = simulated_iterations(iterations, sim_iterations)
         dev = self.device
         nx, ny = self.problem.nx, self.problem.ny
         img = self.layout.pack()

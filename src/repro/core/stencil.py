@@ -46,7 +46,7 @@ from repro.arch.device import GrayskullDevice
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
 from repro.core.decomposition import SubDomain, split_domain
 from repro.core.grid import AlignedDomain, LaplaceProblem
-from repro.core.jacobi_initial import DeviceRunResult
+from repro.core.jacobi_initial import DeviceRunResult, simulated_iterations
 from repro.dtypes.bf16 import bf16_round, bits_to_f32, f32_to_bits
 from repro.dtypes.tiles import TILE_ELEMS
 from repro.sim.resources import Semaphore
@@ -687,11 +687,7 @@ class StencilRunner:
         interior field) adds an inhomogeneous term to every sweep:
         ``out = Σ gₖ + rhs``.
         """
-        if iterations <= 0:
-            raise ValueError("iterations must be positive")
-        sim_iters = min(sim_iterations or iterations, iterations)
-        if sim_iters <= 0:
-            raise ValueError("sim_iterations must be positive")
+        sim_iters = simulated_iterations(iterations, sim_iterations)
         if rhs is not None and self.spec.rounding == "dst":
             raise ValueError("dst rounding takes no rhs field")
         dev = self.device

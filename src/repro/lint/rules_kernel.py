@@ -348,11 +348,8 @@ def _contains_opaque(nodes) -> bool:
 # --------------------------------------------------------------------------
 
 def _k106(trace: KernelTrace, out: _Findings) -> None:
-    try:
-        from repro.arch.costs import DEFAULT_COSTS
-        align = DEFAULT_COSTS.dram_alignment
-    except Exception:                  # pragma: no cover - defensive
-        align = 32
+    from repro.perfmodel.calibration import DEFAULT_COSTS
+    align = DEFAULT_COSTS.dram_alignment
     for call in iter_calls(trace.nodes):
         if call.name == "noc_async_read":
             addr = call.operand(0, "noc_addr")
@@ -367,7 +364,7 @@ def _k106(trace: KernelTrace, out: _Findings) -> None:
             out.emit(
                 "K106",
                 f"{call.name} at DRAM address {value}, which is not "
-                f"{align}-byte (256-bit) aligned "
+                f"{align}-byte ({8 * align}-bit) aligned "
                 f"(address % {align} == {value % align})",
                 call.lineno, dedup_key=value)
 

@@ -30,6 +30,8 @@ _TILE_CB_OPERANDS = {
     "sub_tiles": [(0, "cb_a"), (1, "cb_b")],
     "mul_tiles": [(0, "cb_a"), (1, "cb_b")],
     "matmul_tiles": [(0, "cb_a"), (1, "cb_b")],
+    "copy_tile": [(0, "cb")],
+    "add_tile_to_dst": [(0, "cb")],
     "unary_tile": [(1, "cb")],
     "reduce_tile": [(0, "cb")],
     "transpose_tile": [(0, "cb")],
@@ -327,10 +329,7 @@ def _p205(spec, trace: KernelTrace, findings: List[Finding]) -> None:
 
 def _p206(spec, trace: KernelTrace, device,
           findings: List[Finding]) -> None:
-    try:
-        from repro.ttmetal.buffers import Buffer
-    except Exception:                  # pragma: no cover - defensive
-        return
+    from repro.ttmetal.buffers import Buffer
     align = getattr(getattr(device, "costs", None), "dram_alignment", 32)
     args = spec.args or {}
     seen: Set[Tuple[int, int]] = set()
@@ -361,7 +360,7 @@ def _p206(spec, trace: KernelTrace, device,
             "P206",
             f"{trace.fn_name} {direction}s buffer at DRAM offset "
             f"{offset} (absolute address {addr}), which is not "
-            f"{align}-byte (256-bit) aligned",
+            f"{align}-byte ({8 * align}-bit) aligned",
             filename=call.filename, lineno=call.lineno,
             kernel=trace.fn_name))
 

@@ -48,6 +48,7 @@ from repro.ops.registry import (
     sha16,
 )
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
+from repro.perfmodel.ops import fft_estimate
 from repro.sim.resources import Semaphore
 from repro.ttmetal import (
     CreateCircularBuffer,
@@ -384,11 +385,6 @@ def _make_problem(size: int, seed: int = 0, **kw) -> FftProblem:
     return FftProblem(n=size, batch=kw.get("batch", 16), seed=seed)
 
 
-def _estimate(problem, cores, costs):
-    from repro.perfmodel.ops import fft_estimate
-    return fft_estimate(problem, cores, costs)
-
-
 register(OpSpec(
     name="fft",
     summary="radix-2 1D FFT pencils, twiddles resident in L1, float32 "
@@ -396,6 +392,12 @@ register(OpSpec(
     make_problem=_make_problem,
     run=run_fft,
     reference=lambda p: fft_reference_bits(p.inputs()),
-    estimate=_estimate,
-    flops=lambda p: p.flops(),
+    estimate=fft_estimate,
+    # ``ny`` pencils of length ``nx``, repeated ``iterations`` times
+    serve_problem=lambda nx, ny, iterations: (
+        FftProblem(n=nx, batch=ny), iterations),
+    # float32 planes: xr/xi + twiddles in, xr/xi out
+    pcie_bytes=lambda p: 5 * p.n * p.batch * 4,
+    # round down to a power of two, at least 4
+    snap_nx=lambda nx: 1 << (max(4, nx).bit_length() - 1),
 ))

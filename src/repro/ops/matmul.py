@@ -36,7 +36,7 @@ from repro.arch.device import GrayskullDevice
 from repro.arch.sram import SramExhausted
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
 from repro.core.decomposition import split_domain
-from repro.dtypes.bf16 import bits_to_f32, f32_to_bits
+from repro.dtypes.bf16 import BF16_BYTES, bits_to_f32, f32_to_bits
 from repro.dtypes.tiles import TILE_DIM
 from repro.ops.registry import (
     OpCheckError,
@@ -46,6 +46,7 @@ from repro.ops.registry import (
     sha16,
 )
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
+from repro.perfmodel.ops import matmul_estimate
 from repro.sim.resources import Semaphore
 from repro.ttmetal import (
     CreateCircularBuffer,
@@ -337,11 +338,6 @@ def _make_problem(size: int, seed: int = 0, **kw) -> MatmulProblem:
                          n=kw.get("n", size), seed=seed)
 
 
-def _estimate(problem, cores, costs):
-    from repro.perfmodel.ops import matmul_estimate
-    return matmul_estimate(problem, cores, costs)
-
-
 register(OpSpec(
     name="matmul",
     summary="blocked BF16 matmul held in SRAM, deterministic K-order "
@@ -349,6 +345,10 @@ register(OpSpec(
     make_problem=_make_problem,
     run=run_matmul,
     reference=lambda p: matmul_reference_bits(*p.inputs()),
-    estimate=_estimate,
-    flops=lambda p: p.flops(),
+    estimate=matmul_estimate,
+    # C[ny,nx] = A[ny,nx] @ B[nx,nx], repeated ``iterations`` times
+    serve_problem=lambda nx, ny, iterations: (
+        MatmulProblem(m=ny, k=nx, n=nx), iterations),
+    # A and B in, C out
+    pcie_bytes=lambda p: (p.m * p.k + p.k * p.n + p.m * p.n) * BF16_BYTES,
 ))

@@ -5,15 +5,21 @@ Jacobi workload into a small TT-NN-style op library.  Every op is
 described by an :class:`OpSpec` bundling
 
 * a problem constructor (``make_problem``) with a uniform
-  ``(size, seed, **kw)`` surface for the CLI and the serve layer,
+  ``(size, seed, **kw)`` surface for the CLI and the benchmarks,
 * single-core **and** multi-core launch builders behind one ``run``
   entry point (``cores=(cores_y, cores_x)``; multi-core shares are
   carved with :func:`repro.core.decomposition.split_domain`),
 * a host-side NumPy ``reference`` that is differentially checked at
   readback (bit-exact for matmul and the 9-point stencil, within a
   documented ULP bound for the FFT — see each op module),
-* a calibrated roofline/energy ``estimate`` through
-  :mod:`repro.perfmodel.ops`.
+* its calibrated roofline/energy ``estimate`` from
+  :mod:`repro.perfmodel.ops`,
+* the serve facts: how a request's ``(nx, ny, iterations)`` maps to a
+  problem (``serve_problem``), the PCIe bytes it moves (``pcie_bytes``)
+  and how a drawn width snaps to a valid one (``snap_nx``).
+
+:mod:`repro.serve` and :mod:`repro.perfmodel` ask this table about an
+op kind; neither keeps a per-kind copy.
 
 Ops register themselves at import time; ``repro.ops`` imports all three
 concrete modules, so ``from repro import ops; ops.get_op("matmul")``
@@ -81,6 +87,10 @@ class OpRunResult:
         }
 
 
+def _same_nx(nx: int) -> int:
+    return nx
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """Everything the CLI/bench/serve layers need to know about an op."""
@@ -91,12 +101,18 @@ class OpSpec:
     make_problem: Callable
     #: (problem, cores=(1,1), device=None, check=True) -> OpRunResult
     run: Callable
-    #: problem -> host-reference array (dtype documented per op)
+    #: problem -> the host-reference array ``run`` checks its readback
+    #: against (dtype documented per op)
     reference: Callable
     #: (problem, cores, costs) -> repro.perfmodel.ops.OpEstimate
     estimate: Callable
-    #: problem -> floating point operations of one execution
-    flops: Callable
+    #: serve request (nx, ny, iterations) -> (problem, repeats): the op
+    #: problem one request runs, executed ``repeats`` times
+    serve_problem: Callable
+    #: problem -> host<->device bytes one execution moves, both ways
+    pcie_bytes: Callable
+    #: drawn grid width -> the nearest width ``serve_problem`` accepts
+    snap_nx: Callable = _same_nx
 
 
 OPS: Dict[str, OpSpec] = {}

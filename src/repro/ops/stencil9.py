@@ -50,6 +50,7 @@ from repro.ops.registry import (
     sha16,
 )
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
+from repro.perfmodel.ops import stencil9_estimate
 from repro.sim.resources import Semaphore
 from repro.ttmetal import (
     CreateCircularBuffer,
@@ -134,6 +135,12 @@ def stencil9_reference_bits(halo_bits: np.ndarray, iters: int) -> np.ndarray:
         dg = bf16_add(bf16_add(bf16_add(nw, ne), sw), se)
         g[1:-1, 1:-1] = bf16_add(bf16_mul(ax, c1), bf16_mul(dg, c2))
     return g
+
+
+def _interior_reference(problem: Stencil9Problem) -> np.ndarray:
+    """The reference sweep's interior: what the device reads back."""
+    return stencil9_reference_bits(problem.halo_grid_bits(),
+                                   problem.iters)[1:-1, 1:-1]
 
 
 # -- device kernels ----------------------------------------------------------
@@ -252,8 +259,7 @@ def run_stencil9(problem: Stencil9Problem, cores: Tuple[int, int] = (1, 1),
     dev = device or GrayskullDevice(costs, dram_bank_capacity=64 << 20)
 
     layout = AlignedDomain(problem.laplace())
-    halo = problem.halo_grid_bits()
-    img = layout.pack(halo)
+    img = layout.pack(problem.halo_grid_bits())
     buf0 = create_buffer(dev, layout.nbytes, interleaved=True,
                          page_size=32 << 10)
     buf1 = create_buffer(dev, layout.nbytes, interleaved=True,
@@ -323,7 +329,7 @@ def run_stencil9(problem: Stencil9Problem, cores: Tuple[int, int] = (1, 1),
 
     detail = "unchecked"
     if check:
-        ref = stencil9_reference_bits(halo, problem.iters)[1:-1, 1:-1]
+        ref = _interior_reference(problem)
         if not np.array_equal(out_bits, ref):
             bad = int(np.count_nonzero(out_bits != ref))
             raise OpCheckError(
@@ -346,19 +352,19 @@ def _make_problem(size: int, seed: int = 0, **kw) -> Stencil9Problem:
                            iters=kw.get("iters", 2), seed=seed)
 
 
-def _estimate(problem, cores, costs):
-    from repro.perfmodel.ops import stencil9_estimate
-    return stencil9_estimate(problem, cores, costs)
-
-
 register(OpSpec(
     name="stencil9",
     summary="9-point relaxation on the AlignedDomain ping-pong layout, "
             "bit-identical across 1D and 2D decompositions",
     make_problem=_make_problem,
     run=run_stencil9,
-    reference=lambda p: stencil9_reference_bits(p.halo_grid_bits(),
-                                                p.iters),
-    estimate=_estimate,
-    flops=lambda p: p.flops(),
+    reference=_interior_reference,
+    estimate=stencil9_estimate,
+    # an ``ny x nx`` interior relaxed for ``iterations`` sweeps, run once
+    serve_problem=lambda nx, ny, iterations: (
+        Stencil9Problem(nx=nx, ny=ny, iters=iterations), 1),
+    # one padded halo grid in, one out
+    pcie_bytes=lambda p: 2 * (p.nx + 2) * (p.ny + 2) * BF16_BYTES,
+    # round up to a multiple of the 32-element tile width
+    snap_nx=lambda nx: -(-nx // 32) * 32,
 ))

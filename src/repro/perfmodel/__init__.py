@@ -14,7 +14,7 @@
 from repro.perfmodel.calibration import CostModel, DEFAULT_COSTS
 from repro.perfmodel.cpumodel import XeonModel
 from repro.perfmodel.flows import FlowNetwork, max_min_fair_rates
-from repro.perfmodel.ops import OpEstimate, estimate_op, op_service_time
+from repro.perfmodel.ops import OpEstimate
 from repro.perfmodel.scaling import JacobiScalingModel, MulticoreResult
 
 __all__ = [
@@ -25,7 +25,5 @@ __all__ = [
     "MulticoreResult",
     "OpEstimate",
     "XeonModel",
-    "estimate_op",
     "max_min_fair_rates",
-    "op_service_time",
 ]

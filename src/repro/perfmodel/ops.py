@@ -9,9 +9,10 @@ structure of :class:`~repro.perfmodel.scaling.JacobiScalingModel` — a
 compute term and a memory term joined by the overlap-loss factor — so
 per-op ``% of roofline`` numbers in the README table are comparable.
 
-These estimates also feed ``repro.serve``: mixed-workload admission and
-batching use :func:`op_service_time` as the device service time for
-non-Jacobi request kinds.
+Each estimator is registered as its op's ``OpSpec.estimate``
+(:mod:`repro.ops.registry`), which is how ``repro.serve`` prices the
+device service time of a non-Jacobi request.  This module does not
+import :mod:`repro.ops`, so the op modules can import it at load time.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ __all__ = [
     "matmul_estimate",
     "fft_estimate",
     "stencil9_estimate",
-    "estimate_op",
-    "op_service_time",
 ]
 
 #: elements along one tile edge; one FPU tile op touches a 32x32 tile.
@@ -157,26 +156,3 @@ def stencil9_estimate(problem, cores: Tuple[int, int],
                    3 * plane * problem.iters, plane * problem.iters,
                    compute_s, memory_s, costs)
 
-
-_ESTIMATORS = {
-    "matmul": matmul_estimate,
-    "fft": fft_estimate,
-    "stencil9": stencil9_estimate,
-}
-
-
-def estimate_op(op: str, problem, cores: Tuple[int, int],
-                costs: CostModel = DEFAULT_COSTS) -> OpEstimate:
-    try:
-        fn = _ESTIMATORS[op]
-    except KeyError:
-        raise KeyError(
-            f"no estimator for op {op!r} "
-            f"(have: {sorted(_ESTIMATORS)})") from None
-    return fn(problem, cores, costs)
-
-
-def op_service_time(op: str, problem, cores: Tuple[int, int],
-                    costs: CostModel = DEFAULT_COSTS) -> float:
-    """Modelled device service time for one op execution (for serve)."""
-    return estimate_op(op, problem, cores, costs).time_s

@@ -58,30 +58,19 @@ def solve_key(backend: str, nx: int, ny: int, iterations: int,
 def _run_serve_op(config: ServeSolveConfig) -> Tuple[dict, dict]:
     """Functional fingerprint of one op-workload config.
 
-    The answer is the *host reference* of the op's determinism contract
-    (bit-exact mirror of the device kernels), which is placement- and
-    backend-independent — exactly like the Jacobi post-pass.  Repeats
-    (``iterations`` for matmul/fft) do not change the answer, so one
-    execution fingerprints them all.
+    The answer is the op's ``OpSpec.reference`` — the host mirror its
+    device readback is checked against — which is placement- and
+    backend-independent, exactly like the Jacobi post-pass.  Repeats do
+    not change the answer, so one execution fingerprints them all.
     """
     import numpy as np
 
-    from repro.ops import FftProblem, MatmulProblem, Stencil9Problem
-    from repro.ops.fft import fft_reference_bits
-    from repro.ops.matmul import matmul_reference_bits
-    from repro.ops.stencil9 import stencil9_reference_bits
+    from repro.ops import get_op
 
-    if config.workload == "matmul":
-        problem = MatmulProblem(m=config.ny, k=config.nx, n=config.nx)
-        out = matmul_reference_bits(*problem.inputs())
-    elif config.workload == "fft":
-        problem = FftProblem(n=config.nx, batch=config.ny)
-        out = fft_reference_bits(problem.inputs())
-    else:
-        problem = Stencil9Problem(nx=config.nx, ny=config.ny,
-                                  iters=config.iterations)
-        out = stencil9_reference_bits(problem.halo_grid_bits(),
-                                      problem.iters)[1:-1, 1:-1]
+    spec = get_op(config.workload)
+    problem, _repeats = spec.serve_problem(config.nx, config.ny,
+                                           config.iterations)
+    out = spec.reference(problem)
     sha = hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
     payload = {"grid_sha": sha, "workload": config.workload}
     obs = {"points": config.nx * config.ny}

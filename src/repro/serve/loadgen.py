@@ -115,20 +115,6 @@ def _derived_rng(seed: int, stream: int) -> random.Random:
     return random.Random(seed * 1_000_003 + stream)
 
 
-def _snap_size(workload: str, nx: int) -> int:
-    """Snap a drawn grid extent to the workload's validity constraint.
-
-    A pure function of (workload, nx) so mixes replay: fft pencils need
-    a power-of-two length (round down), stencil9 a 32-multiple width
-    (round up).  jacobi and matmul accept any extent.
-    """
-    if workload == "fft":
-        return 1 << (max(4, nx).bit_length() - 1)
-    if workload == "stencil9":
-        return -(-nx // 32) * 32
-    return nx
-
-
 def synthesize_requests(cfg: LoadGenConfig, pool: PoolConfig,
                         costs: CostModel = DEFAULT_COSTS,
                         n_priorities: int = 3) -> List[SolveRequest]:
@@ -137,7 +123,9 @@ def synthesize_requests(cfg: LoadGenConfig, pool: PoolConfig,
     The workload mix draws from stream 3 — and only when more than one
     kind is configured — so single-kind populations (in particular the
     default jacobi-only one) are bit-identical to what this function
-    produced before workload mixing existed.
+    produced before workload mixing existed.  An op kind snaps each
+    drawn width with its ``OpSpec.snap_nx``, a pure function, so mixes
+    replay.
     """
     rng = _derived_rng(cfg.seed, 1)
     wl_rng = _derived_rng(cfg.seed, 3)
@@ -149,7 +137,10 @@ def synthesize_requests(cfg: LoadGenConfig, pool: PoolConfig,
         priority = rng.randrange(n_priorities)
         workload = cfg.workloads[0] if len(cfg.workloads) == 1 \
             else wl_rng.choice(cfg.workloads)
-        req = SolveRequest(rid=rid, nx=_snap_size(workload, nx), ny=ny,
+        if workload != "jacobi":
+            from repro.ops import get_op
+            nx = get_op(workload).snap_nx(nx)
+        req = SolveRequest(rid=rid, nx=nx, ny=ny,
                            iterations=cfg.iterations, backend=backend,
                            priority=priority, workload=workload)
         if rng.random() < cfg.deadline_fraction:

@@ -7,7 +7,9 @@ Table-VIII drivers use (:class:`~repro.perfmodel.scaling.JacobiScalingModel`
 for the device, :class:`~repro.perfmodel.cpumodel.XeonModel` for the
 CPU), plus a PCIe launch overhead per batch, so a pool member's busy
 interval is exactly the simulated time the one-shot runners would
-report for the same work.
+report for the same work.  An op request (matmul, fft, stencil9) takes
+its problem, device estimate and PCIe bytes from its
+:class:`~repro.ops.registry.OpSpec`; this module names no op kind.
 
 Faults reuse the :mod:`repro.faults` resilience vocabulary two ways: a
 :class:`ServeHang` wedges the *n*-th launch on one member (the legacy
@@ -141,24 +143,18 @@ class PoolConfig:
 _JACOBI_FLOPS_PER_POINT = 4.0
 
 
-def _op_problem_and_repeats(req: SolveRequest):
-    """The :mod:`repro.ops` problem behind a non-Jacobi request.
+def _served_op(req: SolveRequest):
+    """``(spec, problem, repeats)`` of a non-Jacobi request.
 
-    Returns ``(op_name, problem, repeats)``: matmul/fft repeat one op
-    execution ``iterations`` times; stencil9 folds the iteration budget
-    into the problem's sweep count.  Pure function of the request, so
-    admission decisions and traces replay.
+    The request runs ``spec``'s ``problem`` ``repeats`` times.  A pure
+    function of the request, so admission decisions and traces replay.
+    :mod:`repro.ops` is imported here rather than at module load, so
+    ``import repro.serve`` does not load the op kernels.
     """
-    from repro.ops import FftProblem, MatmulProblem, Stencil9Problem
-    if req.workload == "matmul":
-        return "matmul", MatmulProblem(m=req.ny, k=req.nx, n=req.nx), \
-            req.iterations
-    if req.workload == "fft":
-        return "fft", FftProblem(n=req.nx, batch=req.ny), req.iterations
-    if req.workload == "stencil9":
-        return "stencil9", Stencil9Problem(nx=req.nx, ny=req.ny,
-                                           iters=req.iterations), 1
-    raise ValueError(f"not an op workload: {req.workload!r}")
+    from repro.ops import get_op
+    spec = get_op(req.workload)
+    problem, repeats = spec.serve_problem(req.nx, req.ny, req.iterations)
+    return spec, problem, repeats
 
 
 def device_service_time(req: SolveRequest, cores_y: int, cores_x: int,
@@ -167,15 +163,15 @@ def device_service_time(req: SolveRequest, cores_y: int, cores_x: int,
 
     Jacobi requests use the same analytic model the Table-VIII rows do,
     so a request served on the full grid costs exactly what ``repro
-    solve --backend e150-model`` would report.  Op workloads use the
-    calibrated roofline of :func:`repro.perfmodel.ops.op_service_time`,
-    built from the very same :class:`CostModel` constants.
+    solve --backend e150-model`` would report.  Op workloads use their
+    ``OpSpec.estimate``, the calibrated roofline of
+    :mod:`repro.perfmodel.ops` built from the very same
+    :class:`CostModel` constants.
     """
     if req.workload != "jacobi":
-        from repro.perfmodel.ops import op_service_time
-        op, problem, repeats = _op_problem_and_repeats(req)
-        return repeats * op_service_time(op, problem, (cores_y, cores_x),
-                                         costs)
+        spec, problem, repeats = _served_op(req)
+        return repeats * spec.estimate(problem, (cores_y, cores_x),
+                                       costs).time_s
     model = JacobiScalingModel(costs)
     return model.run(req.nx, req.ny, req.effective_iterations,
                      cores_y, cores_x).solve_time_s
@@ -190,7 +186,7 @@ def cpu_service_time(req: SolveRequest, threads: int) -> float:
     """
     xeon = XeonModel()
     if req.workload != "jacobi":
-        _op, problem, repeats = _op_problem_and_repeats(req)
+        _spec, problem, repeats = _served_op(req)
         points = max(1, round(problem.flops() * repeats
                               / _JACOBI_FLOPS_PER_POINT))
         return xeon.solve_time_s(points, 1, threads)
@@ -200,13 +196,10 @@ def cpu_service_time(req: SolveRequest, threads: int) -> float:
 
 def _pcie_round_trip_bytes(req: SolveRequest) -> int:
     """Total host<->device bytes one request moves, both directions."""
-    if req.workload == "matmul":
-        # A (ny,nx) + B (nx,nx) BF16 in, C (ny,nx) BF16 out
-        return (2 * req.ny * req.nx + req.nx * req.nx) * _BF16
-    if req.workload == "fft":
-        # float32 planes: xr/xi + twiddles in, xr/xi out
-        return 5 * req.nx * req.ny * 4
-    # jacobi and stencil9 round-trip one padded BF16 halo grid
+    if req.workload != "jacobi":
+        spec, problem, _repeats = _served_op(req)
+        return spec.pcie_bytes(problem)
+    # a Jacobi solve round-trips one padded BF16 halo grid
     return 2 * (req.nx + 2) * (req.ny + 2) * _BF16
 
 

@@ -35,7 +35,9 @@ BACKENDS = ("device", "cpu")
 #: workload kinds the service schedules.  ``jacobi`` is the original
 #: 5-point solve; the others come from the :mod:`repro.ops` library
 #: (``iterations`` counts op repeats for matmul/fft and sweeps for
-#: stencil9 — see :func:`repro.serve.pool.device_service_time`).
+#: stencil9 — see each op's ``OpSpec.serve_problem``).  A literal, not
+#: read from the registry, so ``import repro.serve`` stays free of the op
+#: kernels; a test keeps it equal to ``{"jacobi", *repro.ops.OPS}``.
 WORKLOADS = ("jacobi", "matmul", "fft", "stencil9")
 
 

@@ -90,6 +90,27 @@ class TestCleanKernels:
         assert rule_ids(good) == set()
 
 
+class TestCalibratedAlignment:
+    def test_k106_reads_the_calibrated_dram_alignment(self, monkeypatch):
+        """Address 96 is 32-byte aligned but not 64-byte aligned."""
+        from dataclasses import replace
+
+        from repro.perfmodel import calibration
+        from repro.ttmetal.kernel_api import NocAddr
+
+        monkeypatch.setattr(
+            calibration, "DEFAULT_COSTS",
+            replace(calibration.DEFAULT_COSTS, dram_alignment=64))
+
+        def reads_at_96(ctx):
+            l1 = ctx.core.sram.allocate(64)
+            yield from ctx.noc_async_read(NocAddr(0, 96), l1, 64)
+            yield from ctx.noc_async_read_barrier()
+        (finding,) = lint.lint_kernel(reads_at_96)
+        assert finding.rule_id == "K106"
+        assert "64-byte (512-bit) aligned" in finding.message
+
+
 class TestFailOpen:
     def test_branch_dependent_barrier_is_maybe_not_flagged(self):
         """A barrier behind a data-dependent branch gives MAYBE, not YES."""

@@ -31,6 +31,14 @@ def rule_ids(report):
     return {f.rule_id for f in report.findings}
 
 
+def copies_cb7(ctx):
+    yield from ctx.copy_tile(7, 0, 0)
+
+
+def accumulates_cb7(ctx):
+    yield from ctx.add_tile_to_dst(7, 0, 0)
+
+
 class TestCbGraph:
     def test_p201_no_consumer(self, device):
         prog = build(device, [(bk.p201_lonely_producer, DATA_MOVER_0, {})],
@@ -68,6 +76,16 @@ class TestCbGraph:
         assert rule_ids(report) == {"P207"}
         assert {f.kernel for f in report.findings} == {
             "p207_producer_unconfigured", "p207_consumer_unconfigured"}
+
+    @pytest.mark.parametrize("kernel", [copies_cb7, accumulates_cb7],
+                             ids=lambda fn: fn.__name__)
+    def test_p207_single_cb_tile_op(self, device, kernel):
+        """copy_tile / add_tile_to_dst name a CB like add_tiles does."""
+        report = lint.lint_program(build(device, [(kernel, COMPUTE, {})]))
+        (finding,) = report.findings
+        assert finding.rule_id == "P207"
+        assert finding.kernel == kernel.__name__
+        assert "CB 7" in finding.message
 
     def test_p207_guarded_reference_is_not_flagged(self, device):
         """A CB referenced only inside a branch may be feature-gated."""

@@ -32,7 +32,9 @@ class TestRegistry:
             assert callable(spec.run)
             assert callable(spec.reference)
             assert callable(spec.estimate)
-            assert callable(spec.flops)
+            assert callable(spec.serve_problem)
+            assert callable(spec.pcie_bytes)
+            assert callable(spec.snap_nx)
             assert spec.summary
 
     def test_make_problem_uniform_surface(self):
@@ -40,7 +42,14 @@ class TestRegistry:
         for spec in list_ops():
             p = spec.make_problem(64, 3)
             assert p.seed == 3
-            assert spec.flops(p) > 0
+            assert p.flops() > 0
+
+    def test_reference_is_what_run_reads_back(self):
+        for spec in list_ops():
+            p = spec.make_problem(32, 1)
+            res = spec.run(p)
+            assert res.checked
+            assert np.array_equal(res.output, spec.reference(p)), spec.name
 
     def test_register_is_idempotent_per_name(self):
         spec = get_op("fft")

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.ops import FftProblem, MatmulProblem, Stencil9Problem
-from repro.perfmodel.calibration import DEFAULT_COSTS
+from repro.ops import FftProblem, MatmulProblem, Stencil9Problem, get_op
 from repro.perfmodel.ops import (
     OpEstimate,
-    estimate_op,
     fft_estimate,
     matmul_estimate,
-    op_service_time,
     stencil9_estimate,
 )
 
@@ -66,18 +63,13 @@ class TestScaling:
 
 
 class TestDispatch:
-    def test_estimate_op_routes_by_name(self):
-        p = FftProblem(n=32, batch=8)
-        assert estimate_op("fft", p, (1, 1)) == fft_estimate(p, (1, 1))
-
-    def test_estimate_op_unknown_raises(self):
-        with pytest.raises(KeyError, match="no estimator"):
-            estimate_op("conv2d", None, (1, 1))
-
-    def test_op_service_time_is_the_estimate_time(self):
-        p = MatmulProblem(m=64, k=64, n=64)
-        assert op_service_time("matmul", p, (1, 1)) == \
-            matmul_estimate(p, (1, 1), DEFAULT_COSTS).time_s
+    @pytest.mark.parametrize("op,estimator", [
+        ("matmul", matmul_estimate),
+        ("fft", fft_estimate),
+        ("stencil9", stencil9_estimate),
+    ])
+    def test_spec_estimate_is_the_perfmodel_estimator(self, op, estimator):
+        assert get_op(op).estimate is estimator
 
 
 class TestModelTracksSimulator:
@@ -91,9 +83,9 @@ class TestModelTracksSimulator:
         ("stencil9", Stencil9Problem(nx=64, ny=64, iters=2)),
     ])
     def test_within_4x_of_des(self, op, problem):
-        from repro.ops import get_op
-        res = get_op(op).run(problem, cores=(1, 1))
-        est = estimate_op(op, problem, (1, 1))
+        spec = get_op(op)
+        res = spec.run(problem, cores=(1, 1))
+        est = spec.estimate(problem, (1, 1))
         ratio = res.kernel_time_s / est.time_s
         assert 0.25 < ratio < 4.0, (
             f"{op}: DES {res.kernel_time_s:.3g}s vs model "

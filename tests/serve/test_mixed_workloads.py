@@ -11,10 +11,11 @@ import dataclasses
 
 import pytest
 
+from repro.ops import OPS, get_op
 from repro.serve import (SolveRequest, WORKLOADS, replay_trace,
                          run_loadgen, solve_key, synthesize_requests,
                          write_trace)
-from repro.serve.loadgen import LoadGenConfig, _snap_size
+from repro.serve.loadgen import LoadGenConfig
 from repro.serve.pool import (PoolConfig, cpu_service_time,
                               device_service_time, launch_overhead_s)
 
@@ -86,19 +87,45 @@ class TestServiceTimes:
         assert device_service_time(four, 1, 1) == pytest.approx(4 * t1)
 
 
+def snap(workload, nx):
+    return get_op(workload).snap_nx(nx)
+
+
 class TestSnapSize:
     def test_fft_snaps_down_to_power_of_two(self):
-        assert _snap_size("fft", 48) == 32
-        assert _snap_size("fft", 64) == 64
-        assert _snap_size("fft", 5) == 4    # floor of the snap is 4
+        assert snap("fft", 48) == 32
+        assert snap("fft", 64) == 64
+        assert snap("fft", 5) == 4    # floor of the snap is 4
 
     def test_stencil9_snaps_up_to_tile_multiple(self):
-        assert _snap_size("stencil9", 48) == 64
-        assert _snap_size("stencil9", 32) == 32
+        assert snap("stencil9", 48) == 64
+        assert snap("stencil9", 32) == 32
 
     def test_jacobi_and_matmul_unchanged(self):
-        assert _snap_size("jacobi", 48) == 48
-        assert _snap_size("matmul", 48) == 48
+        assert snap("matmul", 48) == 48
+        # jacobi has no OpSpec; the generator leaves its widths alone
+        reqs = synthesize_requests(_cfg(workloads=("jacobi",), sizes=(48,)),
+                                   PoolConfig())
+        assert {r.nx for r in reqs} == {48}
+
+
+class TestOpTableDrift:
+    """``WORKLOADS`` and ``SolveRequest``'s kind checks stay literals in
+    :mod:`repro.serve`, outside the op registry, so ``import repro.serve``
+    does not load the op kernels; these tests keep the two from
+    drifting apart."""
+
+    def test_workloads_are_jacobi_plus_the_registered_ops(self):
+        assert set(WORKLOADS) == {"jacobi", *OPS}
+
+    @pytest.mark.parametrize("workload", sorted(OPS))
+    def test_request_accepts_every_snapped_width(self, workload):
+        spec = get_op(workload)
+        for nx in range(3, 301):
+            snapped = spec.snap_nx(nx)
+            SolveRequest(rid=0, nx=snapped, ny=8, iterations=2,
+                         workload=workload)
+            spec.serve_problem(snapped, 8, 2)
 
 
 class TestPopulation:

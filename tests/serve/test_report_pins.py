@@ -3,9 +3,11 @@
 The CI serve jobs compare a run with a second run (or a replay) of the
 same commit, so a change that moves report bytes the same way in both
 runs passes them.  These tests pin ``sha256(report.to_json_text())[:16]``
-of two seeded runs that together drive every fault path of a device
-launch.  A change that moves a digest is a declared output change: it
-updates the digest here and says why.
+of three seeded runs.  The first two together drive every fault path of
+a device launch; the third mixes all four workload kinds, so it also
+pins each op's service times, PCIe bytes and post-pass fingerprints.  A
+change that moves a digest is a declared output change: it updates the
+digest here and says why.
 """
 
 import hashlib
@@ -43,3 +45,19 @@ def test_open_loop_hang_report_is_pinned():
     assert covered(report, ["hangs", "batches.multi", "retries"]) == {
         "hangs": 2, "batches.multi": 11, "retries": 4}
     assert digest(report) == "83009c30fd3138cd"
+
+
+def test_mixed_workload_chaos_report_is_pinned():
+    kinds = ("jacobi", "matmul", "fft", "stencil9")
+    report = run_loadgen(LoadGenConfig(mode="open", seed=11, n_requests=48,
+                                       workloads=kinds),
+                         chaos=ChaosConfig(seed=11, intensity=1.0),
+                         solve=True, jobs=1, cache=False)
+    served = {o.request.workload for o in report.outcomes
+              if o.status == "completed"}
+    assert served == set(kinds)
+    # every op kind is fingerprinted by the functional post-pass
+    assert {key.split(":")[0] for key in report.solves} >= set(kinds[1:])
+    assert covered(report, ["degraded", "shed", "retries"]) == {
+        "degraded": 3, "shed": 8, "retries": 6}
+    assert digest(report) == "0a8460e6c672d186"
