@@ -15,7 +15,7 @@ from repro.core.jacobi_optimized import OptimizedJacobiRunner
 from repro.core.jacobi_sram import SramJacobiRunner
 from repro.core.stencil import StencilRunner, StencilSpec
 from repro.perfmodel.scaling import JacobiScalingModel
-from repro.perfmodel.wormhole import WormholeModel
+from repro.perfmodel.wormhole import WORMHOLE_COSTS
 
 
 def _device():
@@ -73,7 +73,7 @@ def test_wormhole_projection(benchmark):
     """Section VIII: FP32 + connected cards, projected."""
     def run():
         gs = JacobiScalingModel().run(9216, 1024, 5000, 12, 9)
-        wh = WormholeModel()
+        wh = JacobiScalingModel(WORMHOLE_COSTS)
         rows = [("Grayskull 108c BF16 (measured model)", gs.gpts,
                  gs.energy_j)]
         for dtype in ("bf16", "fp32"):

@@ -32,7 +32,7 @@ disabled — these runs measure time only).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.ttmetal import (
 )
 
 __all__ = ["InitialConfig", "InitialJacobiRunner", "DeviceRunResult",
-           "simulated_iterations",
+           "simulated_iterations", "run_sweeps",
            "describe_dataflow", "CB_IN0", "CB_IN1", "CB_IN2", "CB_IN3",
            "CB_SCALAR", "CB_INTERMED", "CB_OUT0"]
 
@@ -143,6 +143,55 @@ def simulated_iterations(iterations: int,
     if sim_iterations <= 0:
         raise ValueError("sim_iterations must be positive")
     return min(sim_iterations, iterations)
+
+
+def run_sweeps(dev: GrayskullDevice, program: Program, layout: AlignedDomain,
+               iterations: int, sim_iters: int, *, t_in: float, final,
+               read_back: bool,
+               load_done: Optional[Callable[[], object]] = None
+               ) -> DeviceRunResult:
+    """The DES runners' one run ledger: launch ``program``, which runs
+    ``sim_iters`` sweeps, and report it as ``iterations`` sweeps.
+
+    Time extrapolates as ``load + (span − load) / sim_iters ·
+    iterations``.  ``load`` is the one-time phase that ends when the
+    event ``load_done()`` fires (charged once, not per sweep), or 0.
+    Energy scales by ``full / span``.  The ``final`` buffer is read back
+    (timed, unpacked by the layout's element type) only when every sweep
+    was simulated.  ``t_in`` is the host-to-device transfer time.
+    """
+    t0 = dev.sim.now
+    loaded = [t0]
+    if load_done is not None:
+        def _watch_load():
+            yield load_done()
+            loaded[0] = dev.sim.now
+        dev.sim.process(_watch_load(), name="load_watch")
+    EnqueueProgram(dev, program)
+    span = Finish(dev)
+    load = loaded[0] - t0
+    full_time = load + (span - load) / sim_iters * iterations
+
+    grid_bits = None
+    t_out = 0.0
+    if read_back and sim_iters == iterations:
+        t_read = dev.sim.now
+        raw = EnqueueReadBuffer(dev, final)
+        t_out = dev.sim.now - t_read
+        grid_bits = layout.unpack(raw.view(layout.bits_dtype))
+    # The meter has integrated through the readback, so read it last.
+    energy = dev.energy.energy_j
+    if sim_iters != iterations:
+        energy *= full_time / (span or 1.0)
+    return DeviceRunResult(
+        grid_bits=grid_bits,
+        iterations=iterations,
+        simulated_iterations=sim_iters,
+        kernel_time_s=full_time,
+        transfer_time_s=t_in + t_out,
+        energy_j=energy,
+        points=layout.nx * layout.ny,
+    )
 
 
 def _aligned_range(offset: int, size: int, alignment: int) -> tuple[int, int, int]:
@@ -395,32 +444,9 @@ class InitialJacobiRunner:
         CreateKernel(prog, _compute_kernel, core, COMPUTE, common)
         CreateKernel(prog, _writer_kernel, core, DATA_MOVER_1, common)
 
-        EnqueueProgram(dev, prog)
-        kernel_time = Finish(dev)
-        per_iter = kernel_time / sim_iters
-        full_time = per_iter * iterations
-
-        grid_bits = None
-        t_out = 0.0
-        if read_back and sim_iters == iterations:
-            final = d1 if iterations % 2 == 0 else d2
-            t0 = dev.sim.now
-            raw = EnqueueReadBuffer(dev, final)
-            t_out = dev.sim.now - t0
-            grid_bits = self.layout.unpack(raw.view("<u2"))
-
-        points = self.problem.nx * self.problem.ny
-        energy = (dev.energy.energy_j / (kernel_time or 1.0)) * full_time \
-            if sim_iters != iterations else dev.energy.energy_j
-        return DeviceRunResult(
-            grid_bits=grid_bits,
-            iterations=iterations,
-            simulated_iterations=sim_iters,
-            kernel_time_s=full_time,
-            transfer_time_s=t_in + t_out,
-            energy_j=energy,
-            points=points,
-        )
+        return run_sweeps(dev, prog, self.layout, iterations, sim_iters,
+                          t_in=t_in, final=d1 if iterations % 2 == 0 else d2,
+                          read_back=read_back)
 
 
 def describe_dataflow() -> str:

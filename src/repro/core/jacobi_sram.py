@@ -40,17 +40,18 @@ from repro.arch.sram import SramExhausted
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
 from repro.core.decomposition import split_extent
 from repro.core.grid import AlignedDomain, LaplaceProblem
-from repro.core.jacobi_initial import DeviceRunResult, simulated_iterations
+from repro.core.jacobi_initial import (
+    DeviceRunResult,
+    run_sweeps,
+    simulated_iterations,
+)
 from repro.dtypes.bf16 import BF16_BYTES, f32_to_bits
 from repro.dtypes.tiles import TILE_ELEMS
 from repro.sim.resources import Semaphore
 from repro.ttmetal import (
     CreateCircularBuffer,
     CreateKernel,
-    EnqueueProgram,
-    EnqueueReadBuffer,
     EnqueueWriteBuffer,
-    Finish,
     Program,
     create_buffer,
 )
@@ -289,38 +290,9 @@ class SramJacobiRunner:
             CreateKernel(prog, _compute_kernel, core, COMPUTE, common)
             CreateKernel(prog, _writer_kernel, core, DATA_MOVER_1, common)
 
-        # Watch for the end of the one-time load phase so extrapolation
-        # scales only the steady-state iteration time.
-        marks = {}
-
-        def _watch_load():
-            yield barrier.wait_at_least(self.cores_y)
-            marks["loaded"] = dev.sim.now
-
-        t0 = dev.sim.now
-        dev.sim.process(_watch_load(), name="load_watch")
-        EnqueueProgram(dev, prog)
-        Finish(dev)
-        span = dev.sim.now - t0
-        load_time = marks.get("loaded", t0) - t0
-        per_iter = (span - load_time) / sim_iters
-        full_time = load_time + per_iter * iterations
-
-        grid_bits = None
-        t_out = 0.0
-        if read_back and sim_iters == iterations:
-            t0 = dev.sim.now
-            raw = EnqueueReadBuffer(dev, d1)
-            t_out = dev.sim.now - t0
-            grid_bits = self.layout.unpack(raw.view("<u2"))
-
-        return DeviceRunResult(
-            grid_bits=grid_bits,
-            iterations=iterations,
-            simulated_iterations=sim_iters,
-            kernel_time_s=full_time,
-            transfer_time_s=t_in + t_out,
-            energy_j=dev.energy.energy_j if sim_iters == iterations
-            else dev.energy.energy_j * (full_time / (span or 1.0)),
-            points=nx * ny,
-        )
+        # The one-time slab load ends when every core has passed its
+        # "loaded" milestone; the ledger charges it once.
+        return run_sweeps(
+            dev, prog, self.layout, iterations, sim_iters, t_in=t_in,
+            final=d1, read_back=read_back,
+            load_done=lambda: barrier.wait_at_least(self.cores_y))

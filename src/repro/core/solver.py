@@ -195,13 +195,14 @@ class JacobiSolver:
 
     def _solve_model(self, problem: LaplaceProblem, iterations: int,
                      compute_answer: bool) -> JacobiResult:
-        model = JacobiScalingModel(self.costs)
+        # ``cores`` is the decomposition over all cards (the paper's 48×9
+        # on four cards): each card runs cores_y / n_cards rows of it.
         cy, cx = self.cores
-        if self.n_cards > 1:
-            perf = model.run_cards(problem.nx, problem.ny, iterations,
-                                   cy, cx, self.n_cards)
-        else:
-            perf = model.run(problem.nx, problem.ny, iterations, cy, cx)
+        if cy % self.n_cards:
+            raise ValueError("cores_y must divide evenly across cards")
+        perf = JacobiScalingModel(self.costs).run(
+            problem.nx, problem.ny, iterations, cy // self.n_cards, cx,
+            self.n_cards)
         grid = None
         if compute_answer:
             bits = problem.initial_grid_bf16()

@@ -46,7 +46,11 @@ from repro.arch.device import GrayskullDevice
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
 from repro.core.decomposition import SubDomain, split_domain
 from repro.core.grid import AlignedDomain, LaplaceProblem
-from repro.core.jacobi_initial import DeviceRunResult, simulated_iterations
+from repro.core.jacobi_initial import (
+    DeviceRunResult,
+    run_sweeps,
+    simulated_iterations,
+)
 from repro.dtypes.bf16 import bf16_round, bits_to_f32, f32_to_bits
 from repro.dtypes.tiles import TILE_ELEMS
 from repro.sim.resources import Semaphore
@@ -54,10 +58,7 @@ from repro.ttmetal import (
     CreateCircularBuffer,
     CreateKernel,
     CreateSemaphore,
-    EnqueueProgram,
-    EnqueueReadBuffer,
     EnqueueWriteBuffer,
-    Finish,
     Program,
     create_buffer,
 )
@@ -93,6 +94,15 @@ _N_CBS = 32
 
 def _bf16(value: float) -> float:
     return float(bf16_round(np.float32(value)))
+
+
+def _bf16_floor(value: float) -> float:
+    """The largest BF16 value ≤ ``value``."""
+    r = _bf16(value)
+    if r > value:  # rounded up: step one BF16 ulp toward −∞
+        bits = int(f32_to_bits(np.float32(r)))
+        r = float(bits_to_f32(np.uint16(bits - 1 if r > 0 else bits + 1)))
+    return r
 
 
 @dataclass(frozen=True)
@@ -143,11 +153,16 @@ class StencilSpec:
 
     @classmethod
     def diffusion(cls, alpha: float) -> "StencilSpec":
-        """Explicit heat step u + α∇²u (stable for α ≤ 0.25)."""
+        """Explicit heat step u + α∇²u (stable for α ≤ 0.25).
+
+        α is rounded to BF16 first; the centre is then the largest BF16
+        value ≤ 1 − 4α, so the weights never sum above 1.
+        """
         if not 0 < alpha <= 0.25:
             raise ValueError("explicit diffusion requires 0 < alpha <= 0.25")
-        return cls.weighted(center=1 - 4 * alpha, west=alpha, east=alpha,
-                            north=alpha, south=alpha)
+        a = _bf16(alpha)
+        return cls.weighted(center=_bf16_floor(1 - 4 * a), west=a, east=a,
+                            north=a, south=a)
 
     @classmethod
     def advection_upwind(cls, cu: float, cv: float) -> "StencilSpec":
@@ -155,12 +170,15 @@ class StencilSpec:
 
         ``u ← u − cu·(u − u_west) − cv·(u − u_north)`` — the atmospheric
         advection pattern the paper names as its next target (flow toward
-        +x, +y).  Stable for cu + cv ≤ 1.
+        +x, +y).  Stable for cu + cv ≤ 1.  The Courant numbers are
+        rounded to BF16 first; the centre is then the largest BF16 value
+        ≤ 1 − cu − cv, so the weights never sum above 1.
         """
         if cu < 0 or cv < 0 or cu + cv > 1:
             raise ValueError("upwind stability needs cu, cv >= 0 and "
                              "cu + cv <= 1")
-        return cls.weighted(center=1 - cu - cv, west=cu, north=cv)
+        w, n = _bf16(cu), _bf16(cv)
+        return cls.weighted(center=_bf16_floor(1 - w - n), west=w, north=n)
 
     @property
     def taps(self) -> Tuple[Tap, ...]:
@@ -716,28 +734,7 @@ class StencilRunner:
             rhs_buf = create_buffer(dev, self.layout.nbytes, **mk)
             t_in += EnqueueWriteBuffer(dev, rhs_buf, self.layout.pack(halo))
 
-        EnqueueProgram(dev, self.build_program(sim_iters, d1, d2, rhs_buf))
-        kernel_time = Finish(dev)
-        per_iter = kernel_time / sim_iters
-        full_time = per_iter * iterations
-
-        grid_bits = None
-        t_out = 0.0
-        if read_back and sim_iters == iterations:
-            final = d1 if iterations % 2 == 0 else d2
-            t0 = dev.sim.now
-            raw = EnqueueReadBuffer(dev, final)
-            t_out = dev.sim.now - t0
-            view = "<u2" if self.elem_bytes == 2 else "<u4"
-            grid_bits = self.layout.unpack(raw.view(view))
-
-        return DeviceRunResult(
-            grid_bits=grid_bits,
-            iterations=iterations,
-            simulated_iterations=sim_iters,
-            kernel_time_s=full_time,
-            transfer_time_s=t_in + t_out,
-            energy_j=dev.energy.energy_j if sim_iters == iterations
-            else dev.energy.energy_j * (full_time / (kernel_time or 1.0)),
-            points=self.problem.nx * self.problem.ny,
-        )
+        return run_sweeps(dev, self.build_program(sim_iters, d1, d2, rhs_buf),
+                          self.layout, iterations, sim_iters, t_in=t_in,
+                          final=d1 if iterations % 2 == 0 else d2,
+                          read_back=read_back)

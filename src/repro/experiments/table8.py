@@ -2,8 +2,10 @@
 
 1024×9216 BF16 elements over 5000 iterations.  CPU rows use the
 calibrated Xeon model; e150 rows use the Tier-2 scaling model (identical
-cost constants to the DES — ``tests/perfmodel`` cross-validates the two
-on small configurations).
+cost constants to the DES).  ``benchmarks/test_fidelity_tiers.py`` pins
+the DES/model ratio of each affordable single-card row at this scale;
+the tiers agree within 13% on four rows and differ 1.2× and 2.2× on
+8×9 and 8×4.
 
 Each row is an independent solver-model evaluation, so the driver fans
 the rows out through the :mod:`repro.parallel` engine (job kind

@@ -130,6 +130,12 @@ class CostModel:
     host_memcpy_bw: float = 12.0 * GB
     host_memcpy_call: float = 1e-6      #: fixed overhead per host staging copy
 
+    # --- card-to-card link -------------------------------------------------
+    #: inter-card halo bandwidth; 0 = no link (the e150 has no remote
+    #: memory, so its multi-card runs exchange no halos)
+    card_link_bw: float = 0.0
+    card_link_latency: float = 0.0      #: per halo message on the card link
+
     # --- energy ------------------------------------------------------------
     card_power_idle_w: float = 47.0     #: e150 at rest
     card_power_base_w: float = 50.0     #: e150 running, few cores

@@ -14,9 +14,12 @@ per-request/per-op costs as the DES:
    physical grid-column uplink and the aggregate DRAM bank capacity;
    steady-state rates come from demand-bounded max-min fairness
    (:mod:`repro.perfmodel.flows`).
-3. **Cards.**  Cards are independent (no remote memory on Grayskull — the
-   paper notes the multi-card runs skip inter-card halos), so multi-card
-   throughput is additive and power sums per card.
+3. **Cards.**  The domain is split in Y across cards and power sums per
+   card.  A halo row travels each way per iteration only over a card
+   link (``CostModel.card_link_bw``).  The e150 has none (no remote
+   memory — the paper notes the multi-card runs skip inter-card halos),
+   so its multi-card throughput is additive; the Wormhole projection
+   (:data:`repro.perfmodel.wormhole.WORMHOLE_COSTS`) has Ethernet.
 
 Geometry note: the paper places the larger decomposition dimension along
 the physical 12-wide grid axis (its "12 cores in Y" exceeds the 10-row
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.dtypes.tiles import TILE_ELEMS
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
@@ -86,7 +89,6 @@ class KernelPhases:
 
 def optimized_kernel_phases(width: int, height: int,
                             costs: CostModel = DEFAULT_COSTS,
-                            interleaved: bool = True,
                             elem_bytes: int = _BF16,
                             chunk_elems: int = TILE_ELEMS) -> KernelPhases:
     """Stage times for the Section-VI kernel on a ``width``×``height`` block.
@@ -107,13 +109,13 @@ def optimized_kernel_phases(width: int, height: int,
         rb = (w + 2) * elem_bytes  # chunk + left/right halo elements
         wb = w * elem_bytes
         read_t += costs.core_loop_batch + costs.read_request_time(
-            rb, contiguous=True, interleaved=interleaved)
+            rb, contiguous=True, interleaved=True)
         # 8 tile ops regardless of chunk width: a ragged chunk still runs
         # full FPU passes.
         n_tiles = max(1, math.ceil(w / chunk_elems))
         compute_t += costs.core_loop_batch + 8 * costs.fpu_op * n_tiles
         write_t += costs.core_loop_batch + costs.write_request_time(
-            wb, contiguous=True, interleaved=interleaved)
+            wb, contiguous=True, interleaved=True)
         read_b += rb
         write_b += wb
     # The rotating 4-batch local buffer re-reads nothing, but the sweep
@@ -175,25 +177,35 @@ class JacobiScalingModel:
 
     def run(self, width: int, height: int, iterations: int,
             cores_y: int, cores_x: int, n_cards: int = 1,
-            interleaved: bool = True) -> MulticoreResult:
+            dtype: str = "bf16") -> MulticoreResult:
         """Model a Jacobi solve decomposed over a core grid and cards.
 
-        ``width``/``height`` are the global domain in elements (per card
-        when ``n_cards > 1`` the domain is split in Y across cards, exactly
-        like the paper's four-card experiment, with no inter-card halo
-        exchange).
+        ``width``/``height`` are the global domain in elements;
+        ``cores_y``/``cores_x`` is the core grid of one card.  With
+        ``n_cards > 1`` the domain is split in Y across cards, exactly
+        like the paper's four-card experiment; each iteration then
+        exchanges one halo row each way over the card link, if the cost
+        model has one.  ``dtype`` (``"bf16"`` or ``"fp32"``) sets the
+        element size and the FPU tile width, as ``StencilRunner(dtype=)``
+        does in the DES.
         """
         c = self.costs
+        if dtype not in ("bf16", "fp32"):
+            raise ValueError("dtype must be 'bf16' or 'fp32'")
         if cores_y * cores_x > c.n_worker_cores:
             raise ValueError(
                 f"{cores_y}x{cores_x} exceeds {c.n_worker_cores} worker cores")
         if iterations <= 0:
             raise ValueError("iterations must be positive")
+        elem_bytes = _BF16 if dtype == "bf16" else 4
+        # one FPU tile: 1024 BF16 or 512 FP32 elements (16384 bits)
+        chunk = TILE_ELEMS * _BF16 // elem_bytes
 
         card_height = self._split(height, n_cards)
         wx = self._split(width, cores_x)
         wy = self._split(card_height, cores_y)
-        phases = optimized_kernel_phases(wx, wy, c, interleaved=interleaved)
+        phases = optimized_kernel_phases(wx, wy, c, elem_bytes=elem_bytes,
+                                         chunk_elems=chunk)
         solo_iter = phases.solo_iteration_time(c)
         demand = phases.traffic_bytes / solo_iter  # bytes/s per core
 
@@ -214,6 +226,11 @@ class JacobiScalingModel:
         column_bound = rate < demand * (1 - 1e-9)
 
         iter_time = phases.traffic_bytes / rate if column_bound else solo_iter
+        if n_cards > 1 and c.card_link_bw:
+            # One halo row each way per iteration over the card link,
+            # overlapping nothing (conservative).
+            halo_bytes = 2 * width * elem_bytes
+            iter_time += halo_bytes / c.card_link_bw + 2 * c.card_link_latency
         # One global iteration completes when the slowest core finishes.
         solve_time = iter_time * iterations
         points = width * height
@@ -231,33 +248,4 @@ class JacobiScalingModel:
             energy_j=energy,
             power_w=power,
             column_bound=column_bound,
-        )
-
-    def run_cards(self, width: int, height: int, iterations: int,
-                  cores_y: int, cores_x: int, n_cards: int) -> MulticoreResult:
-        """Multi-card run: per-card sub-domains solved independently.
-
-        ``cores_y``/``cores_x`` give the *total* decomposition across all
-        cards (the paper reports e.g. 48×9 over four cards); each card gets
-        ``cores_y / n_cards`` rows of cores.
-        """
-        if cores_y % n_cards:
-            raise ValueError("cores_y must divide evenly across cards")
-        per_card = self.run(width, self._split(height, n_cards), iterations,
-                            cores_y // n_cards, cores_x, n_cards=1)
-        points = width * height
-        solve_time = per_card.solve_time_s  # cards run concurrently
-        gpts = points * iterations / solve_time / 1e9
-        power = per_card.power_w * n_cards
-        return MulticoreResult(
-            total_cores=cores_y * cores_x,
-            cores_y=cores_y,
-            cores_x=cores_x,
-            n_cards=n_cards,
-            iteration_time_s=per_card.iteration_time_s,
-            solve_time_s=solve_time,
-            gpts=gpts,
-            energy_j=solve_time * power,
-            power_w=power,
-            column_bound=per_card.column_bound,
         )

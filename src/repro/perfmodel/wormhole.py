@@ -5,10 +5,12 @@ Wormhole card which, with support for FP32 by the FPU will enable
 increased precision, along with the ability to connect the cards to
 explore scaling up in more detail."
 
-This module projects the optimised Jacobi kernel onto a Wormhole-class
-card, clearly labelled as a *projection* (no Wormhole measurements exist
-in the paper to calibrate against).  Assumptions, from Tenstorrent's
-public n150 specifications and the Grayskull-calibrated per-op costs:
+This module holds the cost model of a Wormhole-class card; the Tier-2
+Jacobi model projects onto it as onto the e150:
+``JacobiScalingModel(WORMHOLE_COSTS).run(..., dtype="fp32")``.  It is
+clearly labelled as a *projection* (no Wormhole measurements exist in
+the paper to calibrate against).  Assumptions, from Tenstorrent's public
+n150 specifications and the Grayskull-calibrated per-op costs:
 
 * 72 worker Tensix cores on an 8×10 grid at 1.0 GHz (per-op costs scale
   with the clock: ×1.2 slower per cycle-equivalent than the 1.2 GHz
@@ -17,8 +19,9 @@ public n150 specifications and the Grayskull-calibrated per-op costs:
 * the same 16384-bit FPU, now also accepting FP32: a tile holds 512
   FP32 elements, so FP32 halves the per-point compute rate and doubles
   the DRAM traffic;
-* cards connect over Ethernet (2 × 100 Gb/s usable here), so multi-card
-  runs can exchange halos and stay *numerically correct* — unlike the
+* cards connect over Ethernet (2 × 100 Gb/s usable here, the
+  ``card_link_*`` fields), so multi-card runs exchange one halo row each
+  way per iteration and stay *numerically correct* — unlike the
   Grayskull experiment;
 * card power ~160 W board limit; the roughly-load-independent behaviour
   observed on the e150 is assumed to carry over at ~110–130 W.
@@ -26,19 +29,9 @@ public n150 specifications and the Grayskull-calibrated per-op costs:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional
+from repro.perfmodel.calibration import DEFAULT_COSTS
 
-from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
-from repro.perfmodel.flows import max_min_fair_rates
-from repro.perfmodel.scaling import (
-    MulticoreResult,
-    columns_used,
-    optimized_kernel_phases,
-)
-
-__all__ = ["WORMHOLE_COSTS", "WormholeModel", "FP32_TILE_ELEMS"]
+__all__ = ["WORMHOLE_COSTS", "FP32_TILE_ELEMS"]
 
 #: The 16384-bit FPU holds 512 FP32 elements per tile.
 FP32_TILE_ELEMS = 512
@@ -64,75 +57,7 @@ WORMHOLE_COSTS = DEFAULT_COSTS.with_overrides(
     card_power_idle_w=95.0,
     card_power_base_w=110.0,
     card_power_span_w=20.0,
+    # inter-card halo exchange over 2 × 100 GbE
+    card_link_bw=25e9,
+    card_link_latency=2e-6,
 )
-
-#: Usable inter-card halo-exchange bandwidth (2 × 100 GbE).
-ETHERNET_BW = 25e9
-ETHERNET_LATENCY = 2e-6
-
-
-class WormholeModel:
-    """Projected Jacobi performance on Wormhole, BF16 or FP32."""
-
-    def __init__(self, costs: CostModel = WORMHOLE_COSTS):
-        self.costs = costs
-
-    def run(self, width: int, height: int, iterations: int,
-            cores_y: int, cores_x: int, n_cards: int = 1,
-            dtype: str = "fp32") -> MulticoreResult:
-        """Model a (possibly multi-card) solve.
-
-        Multi-card runs *include per-iteration halo exchange over
-        Ethernet* — the capability the paper says makes Wormhole
-        interesting — so the answer would be correct, at the cost the
-        model charges here.
-        """
-        if dtype not in ("fp32", "bf16"):
-            raise ValueError("dtype must be 'fp32' or 'bf16'")
-        if iterations <= 0:
-            raise ValueError("iterations must be positive")
-        c = self.costs
-        if cores_y * cores_x > c.n_worker_cores:
-            raise ValueError(
-                f"{cores_y}x{cores_x} exceeds {c.n_worker_cores} workers")
-        elem_bytes = 4 if dtype == "fp32" else 2
-        chunk = FP32_TILE_ELEMS if dtype == "fp32" else 1024
-
-        card_height = math.ceil(height / n_cards)
-        wx = math.ceil(width / cores_x)
-        wy = math.ceil(card_height / cores_y)
-        phases = optimized_kernel_phases(wx, wy, c, elem_bytes=elem_bytes,
-                                         chunk_elems=chunk)
-        solo_iter = phases.solo_iteration_time(c)
-        demand = phases.traffic_bytes / solo_iter
-
-        n_cols = columns_used(cores_y, cores_x, c)
-        per_col = math.ceil(cores_y * cores_x / n_cols)
-        rates = max_min_fair_rates(
-            {"column": c.noc_column_bw, "banks": c.noc_aggregate_bw / n_cols},
-            {f"core{i}": ["column", "banks"] for i in range(per_col)},
-            {f"core{i}": demand for i in range(per_col)})
-        rate = min(rates.values())
-        column_bound = rate < demand * (1 - 1e-9)
-        iter_time = phases.traffic_bytes / rate if column_bound else solo_iter
-
-        # Correct multi-card: one halo row each way per iteration, over
-        # Ethernet, overlapping nothing (conservative).
-        if n_cards > 1:
-            halo_bytes = 2 * width * elem_bytes
-            iter_time += halo_bytes / ETHERNET_BW + 2 * ETHERNET_LATENCY
-
-        solve_time = iter_time * iterations
-        points = width * height
-        total = cores_y * cores_x
-        power = c.card_power_w(total) * n_cards
-        return MulticoreResult(
-            total_cores=total * n_cards,
-            cores_y=cores_y, cores_x=cores_x, n_cards=n_cards,
-            iteration_time_s=iter_time,
-            solve_time_s=solve_time,
-            gpts=points * iterations / solve_time / 1e9,
-            energy_j=solve_time * power,
-            power_w=power,
-            column_bound=column_bound,
-        )

@@ -1,4 +1,5 @@
-"""One ``sim_iterations`` rule for every DES Jacobi/stencil runner."""
+"""One ``sim_iterations`` rule and one run ledger for every DES
+Jacobi/stencil runner."""
 
 import pytest
 
@@ -31,6 +32,25 @@ def test_non_positive_budget_is_rejected(runner, sim_iterations,
 def test_non_positive_iterations_are_rejected(runner, device_factory):
     with pytest.raises(ValueError, match="iterations must be positive"):
         RUNNERS[runner](device_factory()).run(0)
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_partial_run_extrapolates(runner, device_factory):
+    """k of N sweeps report the k-sweep launch scaled to N, through the
+    one run ledger; the SRAM slab load is charged once, not per sweep."""
+    k, n = 2, 10
+    full = RUNNERS[runner](device_factory()).run(k, read_back=False)
+    part = RUNNERS[runner](device_factory()).run(n, sim_iterations=k)
+    assert part.grid_bits is None  # no readback unless every sweep ran
+    assert part.transfer_time_s == full.transfer_time_s
+    if runner == "sram":
+        assert part.kernel_time_s < full.kernel_time_s / k * n
+        assert part.energy_j == pytest.approx(
+            full.energy_j * (part.kernel_time_s / full.kernel_time_s))
+    else:
+        assert part.kernel_time_s == full.kernel_time_s / k * n
+        assert part.energy_j == full.energy_j * (
+            part.kernel_time_s / full.kernel_time_s)
 
 
 def test_budget_defaults_to_all_and_caps_at_iterations():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.device import GrayskullDevice
@@ -136,17 +136,39 @@ class TestDeviceExecution:
         assert t3.kernel_time_s < t5.kernel_time_s
 
 
+#: rounding every coefficient independently made these weights sum to
+#: 1.00244140625; the scheme amplified and reached 1.015625 at sweep 10
+_AMPLIFYING_DRAW = dict(cu=0.5570025839325579, cv=0.059071919500474315)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cu=st.floats(0.0, 0.6), cv=st.floats(0.0, 0.4),
+       alpha=st.floats(0.01, 0.25))
+@example(alpha=0.2, **_AMPLIFYING_DRAW)
+def test_weights_never_sum_above_one(cu, cv, alpha):
+    for spec in (StencilSpec.advection_upwind(cu, cv),
+                 StencilSpec.diffusion(alpha)):
+        assert sum(spec.weight(t) for t in spec.taps) <= 1.0
+
+
+# The bounds below carry no slack.  Upwind: with non-negative weights
+# summing to at most 1 the three-term chain is monotone and maps a field
+# of ones to at most 1.0; the one spec with a negative centre (−2⁻⁹, at
+# cu≈0.6, cv≈0.4) was checked for 0-15 sweeps.  Diffusion's five-term
+# chain can round a field of ones up to 1.0078125 for a few α, so its
+# exact bound holds for this problem's field: every BF16 α in range was
+# checked for 1-10 sweeps.
 @settings(max_examples=25, deadline=None)
 @given(cu=st.floats(0.0, 0.6), cv=st.floats(0.0, 0.4),
        iters=st.integers(0, 15))
+@example(iters=10, **_AMPLIFYING_DRAW)
 def test_advection_max_principle(cu, cv, iters):
     """Upwind advection is monotone: values stay within initial extrema."""
     p = LaplaceProblem(nx=16, ny=8, left=1.0, initial=0.25)
     spec = StencilSpec.advection_upwind(cu, cv)
     vals = bits_to_f32(stencil_solve_bf16(p.initial_grid_bf16(), spec, iters))
-    slack = 2 ** -7
-    assert vals.min() >= 0.0 - slack
-    assert vals.max() <= 1.0 + slack
+    assert vals.min() >= 0.0
+    assert vals.max() <= 1.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -155,9 +177,8 @@ def test_diffusion_max_principle(alpha, iters):
     p = LaplaceProblem(nx=16, ny=8, left=1.0, bottom=-0.5, initial=0.0)
     spec = StencilSpec.diffusion(alpha)
     vals = bits_to_f32(stencil_solve_bf16(p.initial_grid_bf16(), spec, iters))
-    slack = 2 ** -6
-    assert vals.min() >= -0.5 - slack
-    assert vals.max() <= 1.0 + slack
+    assert vals.min() >= -0.5
+    assert vals.max() <= 1.0
 
 
 class TestRhsField:
@@ -289,14 +310,3 @@ class TestRunnerAccounting:
                                StencilSpec.diffusion(0.2))
         with pytest.raises(ValueError, match="sim_iterations"):
             runner.run(10, sim_iterations=-2)
-
-    def test_partial_simulation_extrapolates_energy(self, device_factory):
-        """Time and energy scale together from the simulated prefix."""
-        p = LaplaceProblem(nx=32, ny=8)
-        spec = StencilSpec.advection_upwind(0.3, 0.2)
-        full = StencilRunner(device_factory(), p, spec).run(
-            2, read_back=False)
-        part = StencilRunner(device_factory(), p, spec).run(
-            10, sim_iterations=2, read_back=False)
-        assert part.kernel_time_s == pytest.approx(5 * full.kernel_time_s)
-        assert part.energy_j == pytest.approx(5 * full.energy_j)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.grid import LaplaceProblem
 from repro.core.jacobi_optimized import OptimizedJacobiRunner
+from repro.core.solver import JacobiSolver
 from repro.perfmodel.calibration import DEFAULT_COSTS
 from repro.perfmodel.scaling import (
     JacobiScalingModel,
@@ -94,8 +95,8 @@ class TestTable8Fidelity:
     def test_multicard_near_linear(self):
         model = JacobiScalingModel()
         one = model.run(9216, 1024, 5000, 12, 9)
-        two = model.run_cards(9216, 1024, 5000, 24, 9, 2)
-        four = model.run_cards(9216, 1024, 5000, 48, 9, 4)
+        two = model.run(9216, 1024, 5000, 12, 9, n_cards=2)
+        four = model.run(9216, 1024, 5000, 12, 9, n_cards=4)
         assert two.gpts == pytest.approx(2 * one.gpts, rel=0.02)
         # slightly sublinear: shorter per-card domains pay the 2 halo rows
         # over fewer interior rows (the paper's 4-card row is also ~1.6%
@@ -122,8 +123,19 @@ class TestTable8Fidelity:
             model.run(1024, 1024, 0, 1, 1)
         with pytest.raises(ValueError):
             model.run(1024, 1024, 10, 12, 12)
-        with pytest.raises(ValueError):
-            model.run_cards(1024, 1024, 10, 9, 9, 2)  # 9 % 2 != 0
+
+    def test_solver_splits_cores_across_cards(self):
+        """``cores`` spans all cards: 48x9 on four cards is 12x9 each."""
+        p = LaplaceProblem(nx=9216, ny=1024)
+        res = JacobiSolver(backend="e150-model", cores=(48, 9),
+                           n_cards=4).solve(p, 5000, compute_answer=False)
+        card = JacobiScalingModel().run(9216, 1024, 5000, 12, 9, n_cards=4)
+        assert (res.time_s, res.gpts, res.energy_j) == \
+            (card.solve_time_s, card.gpts, card.energy_j)
+        with pytest.raises(ValueError, match="divide evenly"):
+            JacobiSolver(backend="e150-model", cores=(9, 9), n_cards=2
+                         ).solve(LaplaceProblem(nx=1024, ny=1024), 10,
+                                 compute_answer=False)  # 9 % 2 != 0
 
 
 class TestDesCrossValidation:
