@@ -87,16 +87,17 @@ class Fpu:
             raise FpuError(
                 f"{cb.name}: FPU pages must be even-sized and at most "
                 f"{TILE_ELEMS * 2} B, got {cb.page_size}")
+        # Callers write into the returned tile, so it must never alias L1:
+        # the FP32 view needs its copy; ``bits_to_f32`` allocates anyway.
         if cb.dtype == "fp32":
             return cb.front_view_bits(tile_index).copy().view(np.float32)
-        return bits_to_f32(cb.front_view_u16(tile_index).copy())
+        return bits_to_f32(cb.front_view_u16(tile_index))
 
     def _binary(self, cb_a: CircularBuffer, cb_b: CircularBuffer,
                 ia: int, ib: int, dst: int, op: Callable) -> None:
         self._check_dst(dst)
         a = self._unpack(cb_a, ia)
-        b = self._unpack(cb_b, ib)
-        self._dst[dst] = op(a, b).astype(np.float32)
+        self._dst[dst] = op(a, self._unpack(cb_b, ib), out=a)
         self.ops += 1
 
     # -- tt-metal compute API surface -----------------------------------------

@@ -30,11 +30,6 @@ __all__ = [
 #: Storage size of one BF16 element in DRAM/SRAM.
 BF16_BYTES = 2
 
-_EXP_MASK = np.uint32(0x7F80_0000)
-_MAN_MASK = np.uint32(0x007F_FFFF)
-_QUIET_BIT16 = np.uint16(0x0040)
-
-
 def f32_to_bits(x: np.ndarray | float) -> np.ndarray:
     """Convert float32 values to BF16 bit patterns (``uint16``).
 
@@ -43,29 +38,34 @@ def f32_to_bits(x: np.ndarray | float) -> np.ndarray:
     floats and float64 arrays are accepted); output has the same shape.
     """
     arr = np.asarray(x, dtype=np.float32)
-    shape = arr.shape
-    f32 = np.ascontiguousarray(arr).reshape(-1)
+    f32 = np.ascontiguousarray(arr)  # promotes 0-d input to 1-d
     u32 = f32.view(np.uint32)
-    # round-to-nearest-even: add 0x7FFF plus the LSB of the retained part.
-    lsb = (u32 >> np.uint32(16)) & np.uint32(1)
-    rounded = u32 + np.uint32(0x7FFF) + lsb
-    bits = (rounded >> np.uint32(16)).astype(np.uint16)
+    # round-to-nearest-even: add 0x7FFF plus the LSB of the retained part,
+    # in place on one temporary (the pack runs once per tile).
+    t = u32 >> 16
+    t &= 1
+    t += 0x7FFF
+    t += u32
+    t >>= 16
+    bits = t.astype(np.uint16)
     # NaN inputs: rounding bias may carry into the exponent; force a quiet
     # NaN with the sign preserved instead.
-    is_nan = ((u32 & _EXP_MASK) == _EXP_MASK) & ((u32 & _MAN_MASK) != 0)
-    if is_nan.any():
-        sign = ((u32 >> np.uint32(16)) & np.uint32(0x8000)).astype(np.uint16)
-        bits = np.where(is_nan, sign | np.uint16(0x7FC0) | _QUIET_BIT16, bits)
-    return bits.reshape(shape)
+    nan = np.isnan(f32)
+    if nan.any():
+        bits[nan] = ((u32[nan] >> 16) & 0x8000) | 0x7FC0
+    return bits.reshape(arr.shape)
 
 
 def bits_to_f32(bits: np.ndarray) -> np.ndarray:
-    """Expand BF16 bit patterns (``uint16``) to exact float32 values."""
+    """Expand BF16 bit patterns (``uint16``) to exact float32 values.
+
+    The result never shares memory with ``bits``: callers (the FPU's
+    in-place tile ops) may write into it.
+    """
     b = np.asarray(bits)
     if b.dtype != np.uint16:
         raise TypeError(f"BF16 bit patterns must be uint16, got {b.dtype}")
-    u32 = b.astype(np.uint32) << np.uint32(16)
-    return u32.view(np.float32)
+    return np.left_shift(b, 16, dtype=np.uint32).view(np.float32)
 
 
 def bf16_round(x: np.ndarray | float) -> np.ndarray:

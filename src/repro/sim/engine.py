@@ -60,8 +60,8 @@ def _check_delay(delay: float) -> float:
         d = float(delay)
     except (TypeError, ValueError):
         raise ValueError(f"delay must be a real number, got {delay!r}") from None
-    if d < 0:
-        raise ValueError(f"negative trigger delay {delay!r}")
+    if not d >= 0:  # also catches NaN, which ``d < 0`` lets through
+        raise ValueError(f"trigger delay must be non-negative, got {delay!r}")
     return d
 
 
@@ -158,22 +158,25 @@ class Timeout(Event):
 
     Timeouts dominate event traffic (every kernel-API op charges one), so
     the constructor assigns slots directly instead of chaining through
-    ``Event.__init__`` and builds its display name lazily — the f-string
-    showed up as a top-3 hot spot when profiling full-device runs.
+    ``Event.__init__``, pushes its own heap entry instead of calling
+    ``Simulator._schedule``, and builds its display name lazily — the
+    f-string showed up as a top-3 hot spot when profiling full-device runs.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # also catches NaN, which ``delay < 0`` lets through
+            raise ValueError(
+                f"timeout delay must be non-negative, got {delay!r}")
         self.sim = sim
         self.callbacks = []
         self._value = value
         self._ok = True
-        self._scheduled = False
+        self._scheduled = True
         self.delay = delay
-        sim._schedule(self, delay)
+        sim._seq += 1
+        heapq.heappush(sim._queue, (sim.now + delay, sim._seq, self))
 
     @property
     def name(self) -> str:  # lazy: only deadlock reports / repr need it
@@ -255,7 +258,11 @@ class Process(Event):
             raise SimulationError("yielded event belongs to a different simulator")
         self._waiting_on = target
         self._wait_since = self.sim.now
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            target.add_callback(self._resume)  # already processed: bridge
+        else:
+            callbacks.append(self._resume)
 
 
 class _Condition(Event):
@@ -379,9 +386,9 @@ class Simulator:
         land on the same bit-exact timestamp a sequence of relative
         timeouts would have produced.
         """
-        if when < self.now:
+        if not when >= self.now:  # also catches NaN
             raise ValueError(
-                f"timeout_at({when!r}) is in the past (now={self.now!r})")
+                f"timeout_at({when!r}) is not at or after now={self.now!r}")
         tmo = Timeout.__new__(Timeout)
         tmo.sim = self
         tmo.callbacks = []

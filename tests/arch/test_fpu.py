@@ -191,3 +191,45 @@ class TestRegisterProtocol:
         fpu.copy_tile(cbs[0], 0, 0)
         with pytest.raises(FpuError, match="mismatch"):
             fpu.pack_tile(0, small_out)
+
+
+class TestInPlaceOpsNeverWriteL1:
+    """Binary ops compute into their unpacked first operand, so the
+    unpacked tile must be fresh memory, never a view of L1."""
+
+    @pytest.mark.parametrize("dtype", ["bf16", "fp32"])
+    def test_binary_ops_leave_l1_untouched(self, sim, dtype):
+        sram = Sram(1 << 16)
+        cb = CircularBuffer(sim, sram, 0, page_size=2048, n_pages=2,
+                            dtype=dtype)
+        alias = sram.allocate(2048, align=32)
+        cb.reserve_back(2)
+        sim.run()
+        n = 2048 // cb.elem_bytes
+        rng = np.random.default_rng(3)
+        pages = [bits_to_f32(f32_to_bits(rng.normal(size=n)))
+                 for _ in range(3)]
+        for i, vals in enumerate(pages[:2]):
+            cb.back_view_bits(i)[:] = (
+                vals.view(np.uint32) if dtype == "fp32" else f32_to_bits(vals))
+        cb.push_back(2)
+        sram.view(alias, 2048)[:] = (
+            pages[2] if dtype == "fp32" else f32_to_bits(pages[2])
+        ).view(np.uint8)
+        before = sram.mem.copy()
+
+        fpu = Fpu()
+        fpu.acquire_dst()
+        fpu.add_tiles(cb, cb, 0, 0, 0)   # the same page on both sides
+        fpu.sub_tiles(cb, cb, 1, 0, 1)
+        cb.set_rd_ptr(alias)
+        fpu.mul_tiles(cb, cb, 0, 0, 2)   # both operands read the alias
+
+        assert np.array_equal(sram.mem, before)
+        assert np.array_equal(fpu.dst_value_f32(0), pages[0] + pages[0])
+        assert np.array_equal(fpu.dst_value_f32(1), pages[1] - pages[0])
+        assert np.array_equal(fpu.dst_value_f32(2), pages[2] * pages[2])
+
+    def test_unpack_returns_fresh_memory(self):
+        x = f32_to_bits(np.ones(1024, dtype=np.float32))
+        assert not np.shares_memory(bits_to_f32(x), x)

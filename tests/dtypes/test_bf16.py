@@ -67,10 +67,25 @@ class TestConversions:
         with pytest.raises(TypeError):
             bits_to_f32(np.zeros(4, dtype=np.int32))
 
-    def test_shape_preserved(self):
-        x = np.ones((3, 5), dtype=np.float32)
-        assert f32_to_bits(x).shape == (3, 5)
-        assert bits_to_f32(f32_to_bits(x)).shape == (3, 5)
+    _GRID = np.linspace(-3.0, 3.0, 30)  # float64; most values round
+
+    @pytest.mark.parametrize("x", [
+        _GRID.astype(np.float32).reshape(3, 10),
+        np.float32(1.1),
+        1.1,
+        _GRID.astype(np.float32).reshape(3, 10)[:, ::2],
+        _GRID.astype(np.float32).reshape(3, 10).T,
+        _GRID.reshape(3, 10),
+    ], ids=["contiguous", "0d-float32", "python-float", "strided",
+            "transposed", "float64"])
+    def test_shape_preserved(self, x):
+        bits = f32_to_bits(x)
+        # a 0-d input gives a 0-d array, not a NumPy scalar
+        assert isinstance(bits, np.ndarray) and bits.dtype == np.uint16
+        assert bits.shape == np.shape(x)
+        assert np.shape(bits_to_f32(bits)) == np.shape(x)
+        # views and float64 pack like a contiguous float32 copy
+        assert np.array_equal(bits, f32_to_bits(np.array(x, np.float32)))
 
     def test_subnormal_f32_flushes_toward_zero_range(self):
         tiny = np.float32(1e-45)

@@ -63,9 +63,21 @@ def _check_against_reference(u32s: np.ndarray) -> None:
 
 class TestRoundToNearestEven:
     def test_exhaustive_upper_half_patterns(self):
-        """All 65536 float32 values whose low half is zero are exact."""
-        bits = np.arange(1 << 16, dtype=np.uint32) << np.uint32(16)
-        _check_against_reference(bits)
+        """Every upper half with each low half that picks a rounding
+        class: exact, just above zero, just below, at and just above
+        half, all ones.  This covers ties of both LSB parities, carries
+        into the exponent and into ±inf, and NaNs whose top 16 bits read
+        as ±inf (393,216 patterns)."""
+        tops = np.arange(1 << 16, dtype=np.uint32) << np.uint32(16)
+        lows = np.array([0x0000, 0x0001, 0x7FFF, 0x8000, 0x8001, 0xFFFF],
+                        dtype=np.uint32)
+        _check_against_reference((tops[:, None] | lows).ravel())
+
+    def test_unpack_exhaustive(self):
+        """Every BF16 pattern, NaNs included, widens to ``u16 << 16``."""
+        bits = np.arange(1 << 16, dtype=np.uint16)
+        want = np.arange(1 << 16, dtype=np.uint32) << np.uint32(16)
+        assert np.array_equal(bits_to_f32(bits).view(np.uint32), want)
 
     def test_seeded_random_sweep(self):
         """200k seeded random bit patterns match the integer reference."""

@@ -385,6 +385,32 @@ class TestTriggerDelayValidation:
         assert sim.now == pytest.approx(2.0)
 
 
+NAN = float("nan")
+
+
+class TestNanDelayRejected:
+    """NaN passes ``x < 0``; every delay guard must still reject it."""
+
+    @pytest.mark.parametrize("trigger", [
+        lambda sim: sim.timeout(NAN),
+        lambda sim: sim.timeout_at(NAN),
+        lambda sim: sim.event().succeed("v", delay=NAN),
+        lambda sim: sim.event().fail(RuntimeError("x"), delay=NAN),
+    ], ids=["timeout", "timeout_at", "succeed", "fail"])
+    def test_nan_rejected(self, sim, trigger):
+        with pytest.raises(ValueError, match="nan"):
+            trigger(sim)
+        assert sim.peek() == float("inf")  # nothing was scheduled
+
+    def test_process_cannot_reach_nan_time(self, sim):
+        def proc():
+            yield sim.timeout(NAN)
+            yield sim.timeout(1.0)
+        with pytest.raises(SimulationError, match="crashed"):
+            sim.run(until=sim.process(proc()))
+        assert sim.now == 0.0
+
+
 class TestDeadlockDiagnostics:
     def test_report_names_stranded_process(self, sim):
         gate = sim.event(name="the-gate")
