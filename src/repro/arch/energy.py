@@ -12,8 +12,7 @@ the card.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
 from repro.sim import Simulator
@@ -35,14 +34,12 @@ class EnergyMeter:
         self.costs = costs
         self._energy_j = 0.0
         self._current = _Interval(t_start=sim.now, active_cores=0)
-        self.samples: List[tuple[float, float]] = []  #: (time, watts) trace
 
     def _flush(self) -> None:
         dt = self.sim.now - self._current.t_start
         if dt > 0:
             watts = self.costs.card_power_w(self._current.active_cores)
             self._energy_j += watts * dt
-            self.samples.append((self.sim.now, watts))
         self._current.t_start = self.sim.now
 
     def set_active_cores(self, n: int) -> None:

@@ -23,9 +23,10 @@ simulator runs:
   imports and unseeded RNG use.
 
 ``EnqueueProgram`` runs the pass automatically (warn by default,
-``lint="strict"`` or ``REPRO_LINT=strict`` raises :class:`LintError`,
-``lint="off"``/``REPRO_LINT=off`` disables), and ``python -m repro
-lint`` sweeps every shipped kernel and example.  Repeat launches of one
+``lint="strict"`` raises :class:`LintError`, ``lint="off"``
+disables), and ``python -m repro lint`` sweeps every shipped kernel and
+example.  Rules read call operands by kernel-API parameter name; the
+rest of what they know of the API lives in :mod:`repro.lint.api`.  Repeat launches of one
 program shape lint once: :func:`lint_program` reuses the findings of an
 earlier program with the same value-only signature
 (:mod:`repro.lint.memo`), and :func:`clear_caches` forgets them.  See

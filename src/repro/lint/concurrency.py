@@ -36,7 +36,8 @@ Rules
 
 Every finding carries a :class:`repro.lint.witness.Witness` — a
 concrete minimal interleaving the DES can replay (``repro lint
---witness``) to confirm the hazard dynamically.  Race witnesses are
+--witness``) to confirm the hazard dynamically.  Byte intervals come
+from :func:`repro.lint.api.footprint`, the map the replay also uses.  Race witnesses are
 only emitted at *prefix-exact* trace positions (no loop, branch,
 opaque region or desugared call earlier in program order), so the
 symbolic call index equals the runtime API-call count and the replay
@@ -53,10 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .api import READ_OPS, WRITE_OPS, footprint, resolve
 from .findings import Finding
 from .registry import make_finding
-from .trace import (ArgVal, Branch, Call, Const, Loop, NocAddrVal, ObjVal,
-                    Opaque, const_int, extract_trace)
+from .trace import Branch, Call, Loop, Opaque, const_int, extract_trace
 from .witness import Witness, WitnessStep
 
 __all__ = ["concurrency_findings"]
@@ -68,13 +69,6 @@ _MAX_ABSTRACT_STEPS = 10_000
 #: longest schedule prefix serialized into a hang witness
 _MAX_WITNESS_STEPS = 64
 
-_READ_OPS = frozenset({
-    "noc_async_read", "noc_read_buffer", "noc_read_buffer_burst",
-    "noc_read_buffer_burst_uniform"})
-_WRITE_OPS = frozenset({
-    "noc_async_write", "noc_write_buffer", "noc_write_buffer_burst",
-    "noc_write_buffer_burst_uniform", "noc_sram_write",
-    "noc_sram_write_multicast"})
 #: ops the symbolic tracer desugars (one runtime call, several trace
 #: calls) — they break the index alignment witnesses depend on
 _DESUGARED_OPS = frozenset({"cb_set_rd_ptr", "cb_set_rd_ptrs"})
@@ -93,9 +87,9 @@ _KINDS = {
 
 
 def _kind(op: str) -> str:
-    if op in _WRITE_OPS:
+    if op in WRITE_OPS:
         return "write"
-    if op in _READ_OPS:
+    if op in READ_OPS:
         return "read"
     return _KINDS.get(op, "other")
 
@@ -169,21 +163,6 @@ def _skeleton(trace) -> _Skeleton:
 # per-spec resolution
 # --------------------------------------------------------------------------
 
-_UNRESOLVED = object()
-
-
-def _resolve(value, spec):
-    """Bind a symbolic operand against one kernel spec's runtime args."""
-    if isinstance(value, Const):
-        return value.value
-    if isinstance(value, ArgVal):
-        args = spec.args or {}
-        return args[value.name] if value.name in args else _UNRESOLVED
-    if isinstance(value, ObjVal):
-        return value.obj
-    return _UNRESOLVED
-
-
 @dataclass
 class _Event:
     """One resolved happens-before node."""
@@ -202,7 +181,7 @@ class _Event:
     sem_obj: object = None        #: live shared Semaphore, if any
     value: Optional[int] = None   #: sem threshold/amount or CB page count
     cb_key: object = None         #: (core_key, cb_id), None when unknown
-    intervals: Tuple = ()         #: ((space, key, lo, hi), ...) or ()
+    intervals: Tuple = ()         #: :func:`api.footprint`, or ()
     multicast: bool = False
     commit_eid: Optional[int] = None
 
@@ -211,7 +190,7 @@ def _sem_identity(call: Call, spec, core_key: int, disp: Dict):
     """Resolve a semaphore operand to a launch-wide identity."""
     from repro.sim.resources import Semaphore
 
-    resolved = _resolve(call.operand(0, "sem"), spec)
+    resolved = resolve(call.operand("sem"), spec.args or {})
     if isinstance(resolved, int) and not isinstance(resolved, bool):
         ident = ("local", core_key, resolved)
         disp[ident] = f"{resolved} on core {spec.core.coord}"
@@ -222,84 +201,6 @@ def _sem_identity(call: Call, spec, core_key: int, disp: Dict):
                        else "a shared semaphore")
         return ident, resolved
     return None, None
-
-
-def _intervals_for(call: Call, spec, disp: Dict) -> Optional[Tuple]:
-    """Concrete (space, key, lo, hi) byte intervals, or None if unknown."""
-    from repro.ttmetal.buffers import Buffer
-    from repro.ttmetal.kernel_api import NocAddr
-
-    name = call.name
-    if call.star:
-        return None
-    if name in ("noc_async_read", "noc_async_write"):
-        pos = 0 if name == "noc_async_read" else 1
-        addr_v = call.operand(pos, "noc_addr")
-        size = const_int(call.operand(2, "size"))
-        bank = addr = None
-        if isinstance(addr_v, NocAddrVal):
-            addr = const_int(addr_v.addr)
-            if addr_v.bank is not None:
-                bank = const_int(addr_v.bank)
-        else:
-            live = _resolve(addr_v, spec)
-            if isinstance(live, NocAddr):
-                bank, addr = int(live.bank_id), int(live.addr)
-        if bank is None or addr is None or size is None:
-            return None
-        disp[("dram", bank)] = f"DRAM bank {bank}"
-        return (("dram", bank, addr, addr + size),)
-    if name in ("noc_read_buffer", "noc_write_buffer"):
-        buf = _resolve(call.operand(0, "buf"), spec)
-        offset = const_int(call.operand(1, "offset"))
-        size = const_int(call.operand(3, "size"))
-        if not isinstance(buf, Buffer) or offset is None or size is None:
-            return None
-        if buf.interleaved:
-            disp[("buf", id(buf))] = "one interleaved DRAM buffer"
-            return (("buf", id(buf), offset, offset + size),)
-        disp[("dram", buf.bank_id)] = f"DRAM bank {buf.bank_id}"
-        base = buf.addr + offset
-        return (("dram", buf.bank_id, base, base + size),)
-    if name == "noc_sram_write":
-        dst = _resolve(call.operand(0, "dst_core"), spec)
-        dst_l1 = const_int(call.operand(1, "dst_l1"))
-        size = const_int(call.operand(3, "size"))
-        if not hasattr(dst, "sram") or dst_l1 is None or size is None:
-            return None
-        disp[("l1", id(dst))] = f"core {dst.coord} L1"
-        return (("l1", id(dst), dst_l1, dst_l1 + size),)
-    if name == "noc_sram_write_multicast":
-        dsts = _resolve(call.operand(0, "dst_cores"), spec)
-        dst_l1 = const_int(call.operand(1, "dst_l1"))
-        size = const_int(call.operand(3, "size"))
-        if not isinstance(dsts, (list, tuple)) or dst_l1 is None \
-                or size is None or not dsts:
-            return None
-        out = []
-        for dst in dsts:
-            if not hasattr(dst, "sram"):
-                return None
-            disp[("l1", id(dst))] = f"core {dst.coord} L1"
-            out.append(("l1", id(dst), dst_l1, dst_l1 + size))
-        return tuple(out)
-    return None             # bursts and friends: statically unknown
-
-
-def _sem_value(call: Call, kind: str) -> Optional[int]:
-    if kind == "sem_inc":
-        operand = call.operand(1, "n")
-        if operand is None:
-            return None if call.star else 1
-        return const_int(operand)
-    return const_int(call.operand(1, "value"))
-
-
-def _cb_n(call: Call) -> Optional[int]:
-    operand = call.operand(1, "n")
-    if operand is None:
-        return None if call.star else 1
-    return const_int(operand)
 
 
 # --------------------------------------------------------------------------
@@ -329,32 +230,39 @@ def _linearize(program) -> Optional[_Launch]:
                  f"{spec.core.coord}/{spec.slot}")
         core_key = id(spec.core)
         evs: List[_Event] = []
+        args = spec.args or {}
         for skel in skeleton.events:
-            kind = _kind(skel.call.name)
+            call = skel.call
+            kind = _kind(call.name)
             if kind == "other":
                 continue
             ev = _Event(eid=len(launch.events), label=label,
                         core_key=core_key, kernel_idx=kernel_idx,
-                        op=skel.call.name, kind=kind, call=skel.call,
+                        op=call.name, kind=kind, call=call,
                         index=skel.index, guarded=skel.guarded,
                         looped=skel.looped)
             if kind.startswith("sem_"):
                 ev.sem, ev.sem_obj = _sem_identity(
-                    skel.call, spec, core_key, launch.disp)
-                ev.value = _sem_value(skel.call, kind)
+                    call, spec, core_key, launch.disp)
+                ev.value = const_int(call.operand(
+                    "n" if kind == "sem_inc" else "value"))
                 if ev.sem is None:
                     launch.sem_ok = False
             elif kind.startswith("cb_"):
-                cb = const_int(skel.call.operand(0, "cb_id"))
+                cb = const_int(call.operand("cb_id"))
                 if cb is None:
                     launch.cb_ok = False
                 else:
                     ev.cb_key = (core_key, cb)
-                ev.value = _cb_n(skel.call)
+                ev.value = const_int(call.operand("n"))
             elif kind in ("read", "write"):
-                intervals = _intervals_for(skel.call, spec, launch.disp)
-                ev.intervals = intervals or ()
-                ev.multicast = skel.call.name == "noc_sram_write_multicast"
+                # objects resolve through runtime args; offsets and
+                # sizes count only when they are constants
+                ev.intervals = footprint(
+                    call.name,
+                    lambda param: resolve(call.operand(param), args),
+                    lambda param: const_int(call.operand(param))) or ()
+                ev.multicast = call.name == "noc_sram_write_multicast"
             evs.append(ev)
             launch.events.append(ev)
             if len(launch.events) > _MAX_EVENTS:
@@ -428,15 +336,16 @@ def _ordered(launch: _Launch, a: _Event, b: _Event) -> bool:
 
 def _race_findings(launch: _Launch) -> List[Finding]:
     findings: List[Finding] = []
-    by_space: Dict[tuple, List[tuple]] = {}
+    by_space: Dict[tuple, Tuple[str, List[tuple]]] = {}
     for ev in launch.events:
         if ev.kind not in ("read", "write") or not ev.intervals \
                 or ev.guarded or ev.looped or ev.index is None:
             continue
-        for space, key, lo, hi in ev.intervals:
-            by_space.setdefault((space, key), []).append((ev, lo, hi))
+        for space, key, lo, hi, where in ev.intervals:
+            by_space.setdefault((space, key), (where, []))[1].append(
+                (ev, lo, hi))
     seen_pairs = set()
-    for space_key, accesses in by_space.items():
+    for where, accesses in by_space.values():
         for i in range(len(accesses)):
             for j in range(i + 1, len(accesses)):
                 a, lo_a, hi_a = accesses[i]
@@ -469,7 +378,6 @@ def _race_findings(launch: _Launch) -> List[Finding]:
                     note=f"hold {first.label} after API call "
                          f"#{first.index}, run {second.label} through API "
                          f"call #{second.index}, then release")
-                where = launch.disp[space_key]
                 findings.append(make_finding(
                     rule,
                     f"{first.label} {first.op} and {second.label} "

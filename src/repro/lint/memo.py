@@ -98,7 +98,7 @@ def _operands(trace) -> Tuple[tuple, tuple]:
     if cached is None:
         names, objs = {}, {}
         for call in iter_calls(trace.nodes):
-            for value in (*call.args, *call.kwargs.values()):
+            for value in call.operands.values():
                 if isinstance(value, ArgVal):
                     names[value.name] = None
                 elif isinstance(value, ObjVal):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from .api import READ_OPS, WRITE_OPS
 from .findings import Finding
 from .registry import make_finding
 from .trace import (Branch, Call, CbPtr, KernelTrace, Loop, NocAddrVal,
@@ -24,35 +25,12 @@ __all__ = ["lint_kernel", "kernel_findings"]
 
 NONE, MAYBE, YES = 0, 1, 2
 
-#: NoC read ops -> (positional index, keyword) of their L1 destination
-_READ_DEST = {
-    "noc_async_read": (1, "l1_addr"),
-    "noc_read_buffer": (2, "l1_addr"),
-    "noc_read_buffer_burst": (2, "l1_addr"),
-    "noc_read_buffer_burst_uniform": (5, "l1_addr"),
-}
-
-_WRITE_OPS = frozenset({
-    "noc_async_write", "noc_write_buffer", "noc_write_buffer_burst",
-    "noc_write_buffer_burst_uniform", "noc_sram_write",
-    "noc_sram_write_multicast",
-})
-
 #: ops that consume pages (used for the K105 "consumed CB" scoping)
 _CONSUME_OPS = ("cb_wait_front", "cb_pop_front")
 
 
 def _cb_of(call: Call) -> Optional[int]:
-    return const_int(call.operand(0, "cb_id"))
-
-
-def _n_of(call: Call) -> Optional[int]:
-    operand = call.operand(1, "n")
-    if operand is not None:
-        return const_int(operand)
-    if call.star:
-        return None                    # positional layout unknown
-    return 1                           # API default n=1
+    return const_int(call.operand("cb_id"))
 
 
 class _Findings:
@@ -97,7 +75,7 @@ def _k101_scan(nodes, out: _Findings):
             if cb is None:
                 unknown_all = True
                 continue
-            n = _n_of(node)
+            n = const_int(node.operand("n"))
             if n is None:
                 skip.add(cb)
                 continue
@@ -217,9 +195,9 @@ class _Walker:
 
 def _issue_level(call: Call) -> int:
     """YES/MAYBE/NONE: does this NoC op leave an outstanding transfer?"""
-    sync = call.kwargs.get("sync")
+    sync = call.operand("sync")
     if sync is None:
-        return YES
+        return YES                     # no sync operand: async
     value = const_value(sync)
     if value is True:
         return NONE                    # synchronous: drained on return
@@ -235,8 +213,8 @@ class _K103Walker(_Walker):
         self.out = out
 
     def on_call(self, call: Call, state: Dict) -> None:
-        if call.name in _READ_DEST:
-            dest = call.operand(*_READ_DEST[call.name])
+        if call.name in READ_OPS:
+            dest = call.operand("l1_addr")
             if isinstance(dest, CbPtr) and dest.kind == "write" \
                     and dest.cb is not None:
                 level = _issue_level(call)
@@ -262,7 +240,7 @@ class _K104Walker(_Walker):
         self.out = out
 
     def on_call(self, call: Call, state: Dict) -> None:
-        if call.name in _WRITE_OPS:
+        if call.name in WRITE_OPS:
             level = _issue_level(call)
             if level != NONE:
                 state["w"] = max(state.get("w", NONE), level)
@@ -285,6 +263,9 @@ class _K105Walker(_Walker):
         self.consumed = consumed
 
     def on_call(self, call: Call, state: Dict) -> None:
+        if call.name not in ("cb_wait_front", "cb_pop_front",
+                             "cb_set_rd_ptr"):
+            return
         cb = _cb_of(call)
         if call.name == "cb_wait_front":
             if cb is None:
@@ -351,12 +332,9 @@ def _k106(trace: KernelTrace, out: _Findings) -> None:
     from repro.perfmodel.calibration import DEFAULT_COSTS
     align = DEFAULT_COSTS.dram_alignment
     for call in iter_calls(trace.nodes):
-        if call.name == "noc_async_read":
-            addr = call.operand(0, "noc_addr")
-        elif call.name == "noc_async_write":
-            addr = call.operand(1, "noc_addr")
-        else:
+        if call.name not in ("noc_async_read", "noc_async_write"):
             continue
+        addr = call.operand("noc_addr")
         if not isinstance(addr, NocAddrVal):
             continue
         value = const_value(addr.addr)

@@ -13,61 +13,35 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from .api import CB_PARAMS, READ_OPS, resolve
 from .findings import Finding
 from .registry import make_finding
-from .trace import (ArgVal, Call, KernelTrace, ObjVal, const_int,
-                    extract_trace, iter_calls, iter_calls_guarded)
+from .trace import (Call, KernelTrace, const_int, extract_trace, iter_calls,
+                    iter_calls_guarded)
 
 __all__ = ["program_findings", "lint_l1_regions"]
-
-#: ops whose first operand is a CB id
-_CB_ID_OPS = ("cb_reserve_back", "cb_push_back", "cb_wait_front",
-              "cb_pop_front", "cb_set_rd_ptr", "cb_set_wr_ptr")
-
-#: tile ops -> (positional index, keyword) of each CB operand
-_TILE_CB_OPERANDS = {
-    "add_tiles": [(0, "cb_a"), (1, "cb_b")],
-    "sub_tiles": [(0, "cb_a"), (1, "cb_b")],
-    "mul_tiles": [(0, "cb_a"), (1, "cb_b")],
-    "matmul_tiles": [(0, "cb_a"), (1, "cb_b")],
-    "copy_tile": [(0, "cb")],
-    "add_tile_to_dst": [(0, "cb")],
-    "unary_tile": [(1, "cb")],
-    "reduce_tile": [(0, "cb")],
-    "transpose_tile": [(0, "cb")],
-    "pack_tile": [(1, "cb_out")],
-}
 
 #: ops that consume (or alias) CB pages
 _CONSUME_OPS = ("cb_wait_front", "cb_pop_front", "cb_set_rd_ptr")
 
-#: buffer-level NoC ops -> (buf operand, offset operand, direction)
+#: buffer-level NoC ops -> the parameter holding their DRAM offset
 _BUFFER_OPS = {
-    "noc_read_buffer": ((0, "buf"), (1, "offset"), "read"),
-    "noc_write_buffer": ((0, "buf"), (1, "offset"), "write"),
-    "noc_read_buffer_burst_uniform": ((0, "buf"), (1, "start"), "read"),
-    "noc_write_buffer_burst_uniform": ((0, "buf"), (1, "start"), "write"),
+    "noc_read_buffer": "offset",
+    "noc_write_buffer": "offset",
+    "noc_read_buffer_burst_uniform": "start",
+    "noc_write_buffer_burst_uniform": "start",
 }
 
 
 def _cb_of(call: Call) -> Optional[int]:
-    return const_int(call.operand(0, "cb_id"))
-
-
-def _n_of(call: Call) -> Optional[int]:
-    operand = call.operand(1, "n")
-    if operand is not None:
-        return const_int(operand)
-    return None if call.star else 1
+    return const_int(call.operand("cb_id"))
 
 
 def _referenced_cbs(call: Call):
-    """Yield (cb_id_or_None, was_referenced) for every CB operand."""
-    if call.name in _CB_ID_OPS:
-        yield const_int(call.operand(0, "cb_id"))
-    elif call.name in _TILE_CB_OPERANDS:
-        for index, kw in _TILE_CB_OPERANDS[call.name]:
-            yield const_int(call.operand(index, kw))
+    """Yield the CB id (None when unknown) of every CB operand."""
+    for param in CB_PARAMS:
+        if param in call.operands:
+            yield const_int(call.operands[param])
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +135,7 @@ def _p203(trace: KernelTrace, configured: Dict[int, int],
         if call.name not in ("cb_reserve_back", "cb_wait_front",
                              "cb_push_back"):
             continue
-        cb, n = _cb_of(call), _n_of(call)
+        cb, n = _cb_of(call), const_int(call.operand("n"))
         if cb is None:
             unknown_ops = True
             continue
@@ -189,8 +163,9 @@ def _p203(trace: KernelTrace, configured: Dict[int, int],
     # cumulative demand: reserved-not-yet-pushed along any straight path
     def walk(nodes, cur: Dict[int, int]) -> Dict[int, int]:
         for node in nodes:
-            if isinstance(node, Call):
-                cb, n = _cb_of(node), _n_of(node)
+            if isinstance(node, Call) and node.name in ("cb_reserve_back",
+                                                        "cb_push_back"):
+                cb, n = _cb_of(node), const_int(node.operand("n"))
                 if node.name == "cb_reserve_back":
                     if cb is None or cb in excluded:
                         continue
@@ -336,17 +311,10 @@ def _p206(spec, trace: KernelTrace, device,
     for call in iter_calls(trace.nodes):
         if call.name not in _BUFFER_OPS:
             continue
-        buf_operand, off_operand, direction = _BUFFER_OPS[call.name]
-        buf_val = call.operand(*buf_operand)
-        if isinstance(buf_val, ArgVal):
-            buf = args.get(buf_val.name)
-        elif isinstance(buf_val, ObjVal):
-            buf = buf_val.obj
-        else:
-            buf = None
+        buf = resolve(call.operand("buf"), args)
         if not isinstance(buf, Buffer) or buf.interleaved:
             continue
-        offset = const_int(call.operand(*off_operand))
+        offset = const_int(call.operand(_BUFFER_OPS[call.name]))
         if offset is None:
             continue
         addr = buf.addr + offset
@@ -356,6 +324,7 @@ def _p206(spec, trace: KernelTrace, device,
         if key in seen:
             continue
         seen.add(key)
+        direction = "read" if call.name in READ_OPS else "write"
         findings.append(make_finding(
             "P206",
             f"{trace.fn_name} {direction}s buffer at DRAM offset "

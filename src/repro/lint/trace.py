@@ -36,6 +36,7 @@ interpreter does not model degrades to :data:`UNKNOWN` / an
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import textwrap
 import weakref
@@ -191,6 +192,55 @@ def const_int(v) -> Optional[int]:
 
 
 # --------------------------------------------------------------------------
+# kernel-API operand binding
+# --------------------------------------------------------------------------
+
+_POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY,
+               inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
+@functools.lru_cache(maxsize=None)
+def _api_params() -> Dict[str, Tuple[Tuple[str, ...], Dict[str, Const]]]:
+    """``name -> (positional parameter names, constant defaults)`` of
+    every public method of the kernel contexts.
+
+    These signatures are the only record of operand layout the rules
+    rely on.  Imported on first use: :mod:`repro.ttmetal` imports this
+    package.
+    """
+    from repro.ttmetal.kernel_api import ComputeCtx, DataMoverCtx
+
+    table = {}
+    for cls in (DataMoverCtx, ComputeCtx):
+        for name, fn in inspect.getmembers(cls, inspect.isfunction):
+            if name.startswith("_"):
+                continue
+            params = list(inspect.signature(fn).parameters.values())[1:]
+            table[name] = (
+                tuple(p.name for p in params if p.kind in _POSITIONAL),
+                {p.name: Const(p.default) for p in params
+                 if isinstance(p.default, _SIMPLE_CONST)})
+    return table
+
+
+def _bind(name: str, args, kwargs, star: bool) -> Dict[str, object]:
+    """Bind one ``ctx.<name>(...)`` call's operands to parameter names.
+
+    Constant defaults (``n=1``, ``sync=False``) fill what the call
+    leaves out.  Under ``*args``/``**kwargs`` only the explicit keywords
+    bind: a splat could supply any positional or defaulted parameter.
+    """
+    params = _api_params().get(name)
+    if params is None or star:
+        return dict(kwargs)
+    positional, defaults = params
+    operands = dict(defaults)
+    operands.update(zip(positional, args))
+    operands.update(kwargs)
+    return operands
+
+
+# --------------------------------------------------------------------------
 # trace nodes
 # --------------------------------------------------------------------------
 
@@ -199,20 +249,14 @@ class Call:
     """One ``yield from ctx.<name>(...)`` API call."""
 
     name: str
-    args: List[object]
-    kwargs: Dict[str, object]
+    operands: Dict[str, object]   #: kernel-API parameter name -> value
     lineno: int
     filename: str
-    star: bool = False    #: call used *args/**kwargs; positions unreliable
+    star: bool = False    #: call used *args/**kwargs; keywords bind only
 
-    def operand(self, index: Optional[int] = None,
-                kw: Optional[str] = None):
-        """Positional-or-keyword operand lookup; None when absent."""
-        if kw is not None and kw in self.kwargs:
-            return self.kwargs[kw]
-        if index is not None and not self.star and index < len(self.args):
-            return self.args[index]
-        return None
+    def operand(self, name: str):
+        """The operand bound to parameter ``name``; None when absent."""
+        return self.operands.get(name)
 
 
 @dataclass
@@ -631,24 +675,26 @@ class _Extractor:
                 if isinstance(a, ast.Starred) else None
             if pairs is not None:
                 for args in pairs:
-                    nodes.append(Call(name="cb_set_rd_ptr", args=args,
-                                      kwargs={}, lineno=lineno,
-                                      filename=frame.filename))
+                    nodes.append(Call(
+                        name="cb_set_rd_ptr",
+                        operands=_bind("cb_set_rd_ptr", args, {}, False),
+                        lineno=lineno, filename=frame.filename))
             elif isinstance(a, ast.Starred):
                 self._eval(a.value, frame)
-                nodes.append(Call(name="cb_set_rd_ptr", args=[],
-                                  kwargs={}, lineno=lineno,
-                                  filename=frame.filename, star=True))
+                nodes.append(Call(name="cb_set_rd_ptr", operands={},
+                                  lineno=lineno, filename=frame.filename,
+                                  star=True))
             elif isinstance(a, ast.Tuple) and len(a.elts) == 2:
                 args = [self._eval(e, frame) for e in a.elts]
-                nodes.append(Call(name="cb_set_rd_ptr", args=args,
-                                  kwargs={}, lineno=lineno,
-                                  filename=frame.filename))
+                nodes.append(Call(
+                    name="cb_set_rd_ptr",
+                    operands=_bind("cb_set_rd_ptr", args, {}, False),
+                    lineno=lineno, filename=frame.filename))
             else:
                 self._eval(a, frame)
-                nodes.append(Call(name="cb_set_rd_ptr", args=[],
-                                  kwargs={}, lineno=lineno,
-                                  filename=frame.filename, star=True))
+                nodes.append(Call(name="cb_set_rd_ptr", operands={},
+                                  lineno=lineno, filename=frame.filename,
+                                  star=True))
         for kw in call.keywords:
             self._eval(kw.value, frame)
 
@@ -681,7 +727,7 @@ class _Extractor:
     def _api_call(self, name, call, frame) -> Call:
         self._tick()
         args, kwargs, star = self._eval_call_operands(call, frame)
-        return Call(name=name, args=args, kwargs=kwargs,
+        return Call(name=name, operands=_bind(name, args, kwargs, star),
                     lineno=self._line(call, frame),
                     filename=frame.filename, star=star)
 
@@ -891,28 +937,20 @@ class _Extractor:
     def _ctx_value_call(self, name, node, frame):
         """A ctx.* call in *value* position (not yielded)."""
         args, kwargs, star = self._eval_call_operands(node, frame)
-
-        def operand(i, kw):
-            if kw in kwargs:
-                return kwargs[kw]
-            if not star and i < len(args):
-                return args[i]
-            return None
-
+        operands = _bind(name, args, kwargs, star)
         if name == "arg":
-            arg_name = const_value(operand(0, "name"))
-            required = operand(1, "default") is None and "default" \
-                not in kwargs
+            arg_name = const_value(operands.get("name"))
             self.trace.arg_refs.append(ArgRef(
                 name=arg_name if isinstance(arg_name, str) else None,
-                required=required, lineno=self._line(node, frame)))
+                required="default" not in operands,
+                lineno=self._line(node, frame)))
             return ArgVal(arg_name) if isinstance(arg_name, str) \
                 else UNKNOWN
         if name in ("cb_write_ptr", "cb_read_ptr"):
             kind = "write" if name == "cb_write_ptr" else "read"
-            return CbPtr(const_int(operand(0, "cb_id")), kind)
+            return CbPtr(const_int(operands.get("cb_id")), kind)
         if name == "get_noc_addr":
-            addr = operand(2, "addr")
+            addr = operands.get("addr")
             return NocAddrVal(addr) if addr is not None else UNKNOWN
         return UNKNOWN
 

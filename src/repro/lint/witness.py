@@ -17,7 +17,8 @@ Two witness kinds exist:
     call, holds it there on a simulator event, lets kernel B issue its
     endpoint, then releases A.  Both endpoints' runtime operands are
     recorded; the race is *confirmed* when both endpoints executed and
-    their concrete byte intervals overlap.
+    their concrete byte intervals (:func:`repro.lint.api.footprint`,
+    the map the static pass uses) overlap.
 
 ``hang``
     ``steps`` holds the executed schedule prefix from the abstract
@@ -42,7 +43,9 @@ import hashlib
 import inspect
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
+
+from .api import footprint
 
 __all__ = ["Witness", "WitnessStep", "ReplayResult", "replay_witness"]
 
@@ -106,62 +109,13 @@ class ReplayResult:
 
 
 # --------------------------------------------------------------------------
-# runtime operand → concrete byte intervals
+# runtime footprints
 # --------------------------------------------------------------------------
 
-def _operand(args, kwargs, index, kw):
-    if kw in kwargs:
-        return kwargs[kw]
-    if index < len(args):
-        return args[index]
-    return None
-
-
-def _buffer_intervals(buf, offset, size):
-    if buf.interleaved:
-        return [("buf", id(buf), int(offset), int(offset) + int(size))]
-    base = buf.addr + int(offset)
-    return [("dram", buf.bank_id, base, base + int(size))]
-
-
-def _runtime_intervals(op: str, args, kwargs) -> List[tuple]:
-    """Concrete (space, key, lo, hi) intervals touched by one runtime call."""
-    if op in ("noc_async_read", "noc_async_write"):
-        noc_addr = _operand(args, kwargs, 0 if op == "noc_async_read" else 1,
-                            "noc_addr")
-        size = _operand(args, kwargs, 2, "size")
-        if noc_addr is None or size is None:
-            return []
-        return [("dram", int(noc_addr.bank_id), int(noc_addr.addr),
-                 int(noc_addr.addr) + int(size))]
-    if op in ("noc_read_buffer", "noc_write_buffer"):
-        buf = _operand(args, kwargs, 0, "buf")
-        offset = _operand(args, kwargs, 1, "offset")
-        size = _operand(args, kwargs, 3, "size")
-        if buf is None or offset is None or size is None:
-            return []
-        return _buffer_intervals(buf, offset, size)
-    if op == "noc_sram_write":
-        dst = _operand(args, kwargs, 0, "dst_core")
-        dst_l1 = _operand(args, kwargs, 1, "dst_l1")
-        size = _operand(args, kwargs, 3, "size")
-        if dst is None or dst_l1 is None or size is None:
-            return []
-        return [("l1", id(dst), int(dst_l1), int(dst_l1) + int(size))]
-    if op == "noc_sram_write_multicast":
-        dsts = _operand(args, kwargs, 0, "dst_cores")
-        dst_l1 = _operand(args, kwargs, 1, "dst_l1")
-        size = _operand(args, kwargs, 3, "size")
-        if dsts is None or dst_l1 is None or size is None:
-            return []
-        return [("l1", id(d), int(dst_l1), int(dst_l1) + int(size))
-                for d in dsts]
-    return []
-
-
-def _intervals_overlap(one: List[tuple], other: List[tuple]) -> bool:
-    for space_a, key_a, lo_a, hi_a in one:
-        for space_b, key_b, lo_b, hi_b in other:
+def _intervals_overlap(one: Tuple[tuple, ...],
+                       other: Tuple[tuple, ...]) -> bool:
+    for space_a, key_a, lo_a, hi_a, _where in one:
+        for space_b, key_b, lo_b, hi_b, _where in other:
             if (space_a, key_a) == (space_b, key_b) \
                     and lo_a < hi_b and lo_b < hi_a:
                 return True
@@ -179,8 +133,11 @@ class _ReplayState:
         self.release = None             #: simulator Event, armed lazily
         self.recorded: Dict[str, tuple] = {}   #: label -> (op, intervals)
 
-    def record(self, label: str, op: str, args, kwargs) -> None:
-        self.recorded[label] = (op, _runtime_intervals(op, args, kwargs))
+    def record(self, label: str, op: str, operands: Dict) -> None:
+        """Record the footprint of the concrete ``operands`` (parameter
+        name -> value) a kernel passed to ``op``."""
+        self.recorded[label] = (
+            op, footprint(op, operands.get, operands.get) or ())
 
 
 class _CtxProxy:
@@ -213,7 +170,9 @@ class _CtxProxy:
         self._count += 1
         result = yield from attr(*args, **kwargs)
         if idx == self._index:
-            self._state.record(self._label, name, args, kwargs)
+            self._state.record(
+                self._label, name,
+                inspect.signature(attr).bind(*args, **kwargs).arguments)
             release = self._state.release
             if self._role == "hold":
                 if release is not None and not release.triggered:

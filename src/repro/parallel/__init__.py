@@ -11,9 +11,7 @@ package turns that into wall-clock headroom:
 * :class:`ResultCache` — an on-disk content-addressed cache keyed on
   (repro version, canonical config JSON, seed), so re-running an
   unchanged sweep point is a disk read;
-* :class:`JobSpec` / :func:`register_kind` — picklable job descriptions
-  with a snapshot of the semantic env toggle (``REPRO_LINT``) asserted
-  in the worker.
+* :class:`JobSpec` / :func:`register_kind` — picklable job descriptions.
 
 See ``docs/parallel_sweeps.md`` for the design and the determinism
 contract.
@@ -41,26 +39,21 @@ from repro.parallel.engine import (
     sweep_results,
 )
 from repro.parallel.jobs import (
-    SNAPSHOT_KEYS,
-    EnvDriftError,
     JobKind,
     JobSpec,
     all_kinds,
     execute_spec,
     get_kind,
     register_kind,
-    snapshot_env,
 )
 
 __all__ = [
     "CACHE_SCHEMA",
-    "EnvDriftError",
     "JobKind",
     "JobOutcome",
     "JobRecord",
     "JobSpec",
     "ResultCache",
-    "SNAPSHOT_KEYS",
     "SweepJobError",
     "all_kinds",
     "cache_version",
@@ -76,7 +69,6 @@ __all__ = [
     "resolve_jobs",
     "run_jobs",
     "set_default_jobs",
-    "snapshot_env",
     "summary_line",
     "sweep_results",
 ]

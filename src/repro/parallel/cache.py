@@ -6,8 +6,7 @@ produces the same invariant outputs (simulated time, event counts,
 result hashes, table cells).  That makes the result a pure function of
 its inputs, so it can be cached by content address:
 
-    key = sha256(version \\n kind \\n canonical_json(config) \\n seed
-                 \\n canonical_json(env_snapshot))
+    key = sha256(version \\n kind \\n canonical_json(config) \\n seed)
 
 and re-running an unchanged sweep point becomes a disk read.  Repeated
 ``repro experiments`` / ``repro faults --seeds`` invocations are then
@@ -42,7 +41,7 @@ import os
 import subprocess
 import uuid
 import warnings
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Union
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -213,19 +212,11 @@ def canonical_config_json(config: Any) -> str:
 
 
 def job_key(kind: str, config: Any, seed: int,
-            version: Optional[str] = None,
-            env: Optional[Sequence[Tuple[str, Optional[str]]]] = None
-            ) -> str:
-    """The content address of one job.
-
-    sha256 over version/kind/config/seed plus the job's snapshot of the
-    semantic environment toggles (``JobSpec.env``): runs planned under
-    different toggle values can never share a cache entry, even if a
-    toggle that is result-identical today stops being so tomorrow.
-    """
+            version: Optional[str] = None) -> str:
+    """The content address of one job: sha256 over
+    version/kind/config/seed."""
     blob = "\n".join([version if version is not None else cache_version(),
-                      kind, canonical_config_json(config), str(int(seed)),
-                      canonical_config_json(env) if env else ""])
+                      kind, canonical_config_json(config), str(int(seed))])
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -294,9 +285,7 @@ class ResultCache:
             return None
 
     def put(self, key: str, kind: str, config: Any, seed: int,
-            payload: dict,
-            env: Optional[Sequence[Tuple[str, Optional[str]]]] = None
-            ) -> None:
+            payload: dict) -> None:
         """Store ``payload`` atomically (tmp file + rename)."""
         path = self._path(key)
         doc = {
@@ -307,8 +296,6 @@ class ResultCache:
             "config": _jsonable(config),
             "payload": payload,
         }
-        if env:
-            doc["env"] = _jsonable(env)
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             tmp = path + f".tmp{os.getpid()}"

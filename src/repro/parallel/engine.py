@@ -17,10 +17,6 @@ The contract that makes parallelism safe for the paper's tables:
   marks only the job it was running as failed, with the error recorded
   in the fault plane's vocabulary (``sweep.job`` / ``isolated``); a
   replacement worker is spawned and the sweep continues.
-* **Env integrity** — each job re-applies the environment snapshot
-  taken when its spec was created (see :mod:`repro.parallel.jobs`), so
-  toggles like ``REPRO_LINT`` can never drift between the planning
-  process and a worker.
 * **Observability** — every job yields a :class:`JobRecord` (worker id,
   queue wait, run wall, deterministic ``events``/``sim_now``) that
   ``repro sweep --report`` and the campaign report render.  Wall-clock
@@ -268,8 +264,7 @@ def run_jobs(specs: Sequence[JobSpec],
                 if payload is not None:
                     store.put(keys[idx], specs[idx].kind, specs[idx].config,
                               specs[idx].seed,
-                              {"data": payload, "obs": out.record.obs},
-                              env=specs[idx].env)
+                              {"data": payload, "obs": out.record.obs})
 
     assert all(o is not None for o in outcomes)
     return outcomes  # type: ignore[return-value]
@@ -292,26 +287,17 @@ def _make_outcome(spec: JobSpec, idx: int, key: str, ok: bool, out,
 
 
 def _run_todo_sequential(specs, keys, outcomes, todo, t_submit) -> None:
-    saved = {k: os.environ.get(k) for k in
-             {key for spec in specs for key, _ in spec.env}}
-    try:
-        for idx in todo:
-            spec = specs[idx]
-            t0 = time.perf_counter()
-            try:
-                out = execute_spec(spec)
-                ok = True
-            except BaseException:
-                out, ok = traceback.format_exc(), False
-            wall = time.perf_counter() - t0
-            outcomes[idx] = _make_outcome(spec, idx, keys[idx], ok, out,
-                                          None, t0 - t_submit, wall)
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    for idx in todo:
+        spec = specs[idx]
+        t0 = time.perf_counter()
+        try:
+            out = execute_spec(spec)
+            ok = True
+        except BaseException:
+            out, ok = traceback.format_exc(), False
+        wall = time.perf_counter() - t0
+        outcomes[idx] = _make_outcome(spec, idx, keys[idx], ok, out,
+                                      None, t0 - t_submit, wall)
 
 
 def _run_todo_parallel(specs, keys, outcomes, todo, t_submit, n_workers,

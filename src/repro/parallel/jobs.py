@@ -1,14 +1,7 @@
 """Job specifications and the registry of runnable job kinds.
 
 A sweep point is described by a picklable :class:`JobSpec` — a job
-*kind* name, a config dataclass, a seed, and a snapshot of the
-process-environment toggles that can change how a job runs
-(``REPRO_LINT``).  The snapshot is taken when
-the spec is *created*, so a worker process always reproduces the
-environment the sweep was planned under even if the parent's environment
-drifts between planning and execution (or the worker inherits a stale
-fork image).  :func:`execute_spec` applies and asserts the snapshot
-before running.
+*kind* name, a config dataclass and a seed.
 
 A :class:`JobKind` splits a job into three pure functions:
 
@@ -32,80 +25,32 @@ importable module (workers resolve kinds by name).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.parallel.cache import job_key
 
 __all__ = [
-    "SNAPSHOT_KEYS",
-    "EnvDriftError",
     "JobKind",
     "JobSpec",
     "all_kinds",
     "execute_spec",
     "get_kind",
     "register_kind",
-    "snapshot_env",
 ]
-
-#: environment toggles that alter how a job runs; snapshot these into
-#: every JobSpec so workers cannot inherit drifted values, and fold them
-#: into the cache key (via :meth:`JobSpec.key`) so runs planned under
-#: different toggles never share cache entries.  ``REPRO_LINT`` does not
-#: change results, but ``strict`` raises where ``warn`` only warns, so a
-#: strict sweep must never be served cache hits recorded in warn mode (a
-#: hit skips execution and hence the worker-side env assertion).
-SNAPSHOT_KEYS = ("REPRO_LINT",)
-
-
-class EnvDriftError(RuntimeError):
-    """A worker's applied environment disagreed with the job snapshot."""
-
-
-def snapshot_env() -> Tuple[Tuple[str, Optional[str]], ...]:
-    """Capture the semantic env toggles as a hashable, picklable tuple."""
-    return tuple((k, os.environ.get(k)) for k in SNAPSHOT_KEYS)
-
-
-def _apply_env(snapshot: Tuple[Tuple[str, Optional[str]], ...]) -> None:
-    for key, value in snapshot:
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-
-
-def _assert_env(snapshot: Tuple[Tuple[str, Optional[str]], ...]) -> None:
-    """Assert the applied snapshot took effect."""
-    for key, value in snapshot:
-        if os.environ.get(key) != value:
-            raise EnvDriftError(
-                f"worker env {key}={os.environ.get(key)!r} does not match "
-                f"the job snapshot {value!r}")
 
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One sweep point: kind + config dataclass + seed + env snapshot."""
+    """One sweep point: kind + config dataclass + seed."""
 
     kind: str
     config: Any
     seed: int = 0
-    env: Tuple[Tuple[str, Optional[str]], ...] = field(
-        default_factory=snapshot_env)
 
     def key(self, version: Optional[str] = None) -> str:
-        """Content address of this job (see :func:`cache.job_key`).
-
-        The env snapshot is part of the key: a cache hit bypasses
-        execution (and therefore the worker-side env assertion), so
-        specs planned under different toggle values must never resolve
-        to the same entry.
-        """
-        return job_key(self.kind, self.config, self.seed, version,
-                       env=self.env)
+        """Content address of this job (see :func:`cache.job_key`)."""
+        return job_key(self.kind, self.config, self.seed, version)
 
 
 @dataclass(frozen=True)
@@ -144,12 +89,8 @@ def all_kinds() -> Tuple[str, ...]:
 
 
 def execute_spec(spec: JobSpec) -> Tuple[dict, dict]:
-    """Run one job under its snapshot env; returns (payload, obs)."""
-    _apply_env(spec.env)
-    _assert_env(spec.env)
-    kind = get_kind(spec.kind)
-    payload, obs = kind.run(spec.config, spec.seed)
-    return payload, obs
+    """Run one job; returns (payload, obs)."""
+    return get_kind(spec.kind).run(spec.config, spec.seed)
 
 
 def result_from_payload(spec: JobSpec, payload: dict) -> Any:

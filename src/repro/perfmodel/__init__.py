@@ -13,14 +13,13 @@
 
 from repro.perfmodel.calibration import CostModel, DEFAULT_COSTS
 from repro.perfmodel.cpumodel import XeonModel
-from repro.perfmodel.flows import FlowNetwork, max_min_fair_rates
+from repro.perfmodel.flows import max_min_fair_rates
 from repro.perfmodel.ops import OpEstimate
 from repro.perfmodel.scaling import JacobiScalingModel, MulticoreResult
 
 __all__ = [
     "CostModel",
     "DEFAULT_COSTS",
-    "FlowNetwork",
     "JacobiScalingModel",
     "MulticoreResult",
     "OpEstimate",

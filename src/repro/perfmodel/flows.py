@@ -15,44 +15,9 @@ fairness).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
-__all__ = ["FlowNetwork", "max_min_fair_rates"]
-
-
-@dataclass
-class FlowNetwork:
-    """A set of capacitated resources and flows that cross them."""
-
-    capacities: Dict[str, float] = field(default_factory=dict)
-    flows: Dict[str, List[str]] = field(default_factory=dict)
-    demands: Dict[str, float] = field(default_factory=dict)
-
-    def add_resource(self, name: str, capacity: float) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity for {name!r} must be positive")
-        if name in self.capacities:
-            raise ValueError(f"duplicate resource {name!r}")
-        self.capacities[name] = float(capacity)
-
-    def add_flow(self, name: str, resources: Sequence[str],
-                 demand: Optional[float] = None) -> None:
-        if name in self.flows:
-            raise ValueError(f"duplicate flow {name!r}")
-        missing = [r for r in resources if r not in self.capacities]
-        if missing:
-            raise KeyError(f"flow {name!r} crosses unknown resources {missing}")
-        if not resources:
-            raise ValueError(f"flow {name!r} must cross at least one resource")
-        self.flows[name] = list(resources)
-        if demand is not None:
-            if demand <= 0:
-                raise ValueError("demand must be positive")
-            self.demands[name] = float(demand)
-
-    def solve(self) -> Dict[str, float]:
-        return max_min_fair_rates(self.capacities, self.flows, self.demands)
+__all__ = ["max_min_fair_rates"]
 
 
 def max_min_fair_rates(

@@ -19,15 +19,12 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import Channel, Mutex, Resource, Semaphore
+from repro.sim.resources import Semaphore
 
 __all__ = [
-    "Channel",
     "Event",
     "Interrupt",
-    "Mutex",
     "Process",
-    "Resource",
     "Semaphore",
     "SimulationError",
     "Simulator",

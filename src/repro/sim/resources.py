@@ -5,9 +5,6 @@ These are the building blocks the hardware model uses:
 * :class:`Semaphore` — counting semaphore with both *consuming* acquires
   and tt-metal style non-consuming ``wait_at_least`` (the paper's green
   dashed reader/writer semaphore in Fig. 3).
-* :class:`Mutex` — binary convenience wrapper.
-* :class:`Channel` — bounded FIFO of Python objects (host↔device queues).
-* :class:`Resource` — SimPy-style capacity resource with FIFO queueing.
 * :class:`FifoServer` — a process-free serial server with a service rate;
   models a NoC link, DMA engine or DRAM bank port cheaply: a transfer of
   ``n`` bytes completes at ``max(now, busy_until) + overhead + n/rate``.
@@ -16,11 +13,11 @@ These are the building blocks the hardware model uses:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Deque
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, Simulator
 
-__all__ = ["Semaphore", "Mutex", "Channel", "Resource", "FifoServer"]
+__all__ = ["Semaphore", "FifoServer"]
 
 
 class Semaphore:
@@ -44,20 +41,6 @@ class Semaphore:
         self.name = name
         self._acquirers: Deque[tuple[int, Event]] = deque()
         self._watchers: list[tuple[int, Event]] = []
-
-    def try_acquire(self, n: int = 1) -> bool:
-        """Consume ``n`` immediately if possible; never blocks.
-
-        FIFO discipline is preserved: with acquirers queued, even a
-        satisfiable request must line up behind them, so this returns
-        ``False`` and the caller falls back to :meth:`acquire`.
-        """
-        if n <= 0:
-            raise ValueError("acquire count must be positive")
-        if self._acquirers or self.value < n:
-            return False
-        self.value -= n
-        return True
 
     def try_wait_at_least(self, v: int) -> bool:
         """Non-consuming threshold test; ``True`` iff a wait would not block.
@@ -116,119 +99,6 @@ class Semaphore:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Semaphore {self.name!r} value={self.value} "
                 f"waiters={len(self._acquirers) + len(self._watchers)}>")
-
-
-class Mutex:
-    """Binary lock; ``yield mutex.acquire()`` ... ``mutex.release()``."""
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self._sem = Semaphore(sim, value=1, name=name or "mutex")
-
-    def acquire(self) -> Event:
-        return self._sem.acquire(1)
-
-    def release(self) -> None:
-        if self._sem.value != 0:
-            raise SimulationError("mutex released while not held")
-        self._sem.release(1)
-
-    @property
-    def locked(self) -> bool:
-        return self._sem.value == 0
-
-
-class Channel:
-    """Bounded FIFO of items with blocking put/get.
-
-    ``capacity=None`` gives an unbounded channel (puts never block).
-    """
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None,
-                 name: str = ""):
-        if capacity is not None and capacity <= 0:
-            raise ValueError("channel capacity must be positive or None")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Any, Event]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Event:
-        ev = self.sim.event(name=f"chan.put({self.name})")
-        self._putters.append((item, ev))
-        self._drain()
-        return ev
-
-    def get(self) -> Event:
-        ev = self.sim.event(name=f"chan.get({self.name})")
-        self._getters.append(ev)
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and (
-                    self.capacity is None or len(self._items) < self.capacity):
-                item, ev = self._putters.popleft()
-                self._items.append(item)
-                ev.succeed()
-                progressed = True
-            while self._getters and self._items:
-                self._getters.popleft().succeed(self._items.popleft())
-                progressed = True
-
-
-class Resource:
-    """Capacity-limited resource with FIFO queueing.
-
-    Usage from a process::
-
-        yield resource.request()
-        try:
-            yield sim.timeout(service_time)
-        finally:
-            resource.release()
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        if capacity <= 0:
-            raise ValueError("resource capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def request(self) -> Event:
-        ev = self.sim.event(name=f"res.request({self.name})")
-        self._waiters.append(ev)
-        self._drain()
-        return ev
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise SimulationError(f"resource {self.name!r} over-released")
-        self.in_use -= 1
-        self._drain()
-
-    def _drain(self) -> None:
-        while self._waiters and self.in_use < self.capacity:
-            self.in_use += 1
-            self._waiters.popleft().succeed()
-
-    def using(self, duration: float) -> Generator[Event, Any, None]:
-        """Helper: hold the resource for ``duration`` (composable via yield from)."""
-        yield self.request()
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            self.release()
 
 
 class FifoServer:

@@ -20,7 +20,6 @@ the paper's measurements do.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
@@ -315,18 +314,15 @@ def _prepare_launch(spec: _KernelSpec, device: GrayskullDevice) -> tuple:
     return cache
 
 
-def _maybe_lint(program: Program, mode: Optional[str]) -> None:
+def _maybe_lint(program: Program, mode: str) -> None:
     """Run the static verifier over ``program`` per the lint mode.
 
-    ``mode`` is ``"off"``/``"warn"``/``"strict"``; ``None`` falls back to
-    the ``REPRO_LINT`` environment variable (default ``"warn"``).  Warn
-    mode emits one aggregated :class:`LintWarning`; strict mode raises
+    ``mode`` is ``"off"``/``"warn"``/``"strict"``.  Warn mode emits one
+    aggregated :class:`LintWarning`; strict mode raises
     :class:`LintError` on any finding.  When a ``repro.lint.capture()``
     block is active, findings are routed there instead.  Lint-internal
     failures never break a run.
     """
-    if mode is None:
-        mode = os.environ.get("REPRO_LINT", "warn")
     if mode not in ("off", "warn", "strict"):
         raise ValueError(f"unknown lint mode {mode!r} "
                          "(expected 'off', 'warn' or 'strict')")
@@ -349,11 +345,11 @@ def _maybe_lint(program: Program, mode: Optional[str]) -> None:
 
 
 def EnqueueProgram(device: GrayskullDevice, program: Program,
-                   lint: Optional[str] = None) -> ProgramHandle:
+                   lint: str = "warn") -> ProgramHandle:
     """Launch every kernel of ``program`` as a simulator process.
 
     ``lint`` selects the static-verifier mode (``"off"``, ``"warn"``,
-    ``"strict"``); ``None`` defers to ``REPRO_LINT`` (default: warn).
+    ``"strict"``).
     """
     if not program.kernels:
         raise ValueError("program has no kernels")

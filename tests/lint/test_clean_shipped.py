@@ -86,5 +86,5 @@ class TestLintPrecision:
                         if c.name.startswith("cb_")]
             assert cb_calls, fn.__name__
             for call in cb_calls:
-                assert isinstance(call.operand(0, "cb_id"), Const), (
+                assert isinstance(call.operand("cb_id"), Const), (
                     f"{fn.__name__}:{call.lineno} {call.name}")

@@ -1,4 +1,4 @@
-"""EnqueueProgram lint integration: warn / strict / off / env / capture."""
+"""EnqueueProgram lint integration: warn / strict / off / capture."""
 
 import warnings
 
@@ -43,8 +43,7 @@ def clean_program(device):
 
 
 class TestModes:
-    def test_default_mode_warns(self, device, monkeypatch):
-        monkeypatch.delenv("REPRO_LINT", raising=False)
+    def test_default_mode_warns(self, device):
         with pytest.warns(LintWarning, match="P201"):
             EnqueueProgram(device, broken_program(device))
 
@@ -55,23 +54,6 @@ class TestModes:
         assert {f.rule_id for f in report.findings} == {"P201"}
 
     def test_off_is_silent(self, device):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            EnqueueProgram(device, broken_program(device), lint="off")
-
-    def test_env_var_selects_mode(self, device, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT", "strict")
-        with pytest.raises(LintError):
-            EnqueueProgram(device, broken_program(device))
-
-    def test_env_var_off(self, device, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT", "off")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            EnqueueProgram(device, broken_program(device))
-
-    def test_explicit_mode_beats_env(self, device, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT", "strict")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             EnqueueProgram(device, broken_program(device), lint="off")

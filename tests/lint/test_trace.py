@@ -22,7 +22,7 @@ class TestUnrolling:
         def kernel(ctx):
             for cb, n in ((2, 1), (3, 2)):
                 yield from ctx.cb_reserve_back(cb, n)
-        got = [(const_int(c.operand(0, "cb_id")), const_int(c.operand(1, "n")))
+        got = [(const_int(c.operand("cb_id")), const_int(c.operand("n")))
                for c in calls(kernel)]
         assert got == [(2, 1), (3, 2)]
 
@@ -43,7 +43,7 @@ class TestInlining:
             yield from fill(7)
         names = [c.name for c in calls(kernel)]
         assert names == ["cb_reserve_back", "cb_push_back"]
-        assert const_int(calls(kernel)[0].operand(0, "cb_id")) == 7
+        assert const_int(calls(kernel)[0].operand("cb_id")) == 7
 
 
 class TestValues:
@@ -52,10 +52,10 @@ class TestValues:
             buf = ctx.arg("buf")
             yield from ctx.noc_read_buffer(buf, 0, ctx.cb_write_ptr(4), 64)
         (call,) = calls(kernel)
-        dest = call.operand(2, "l1_addr")
+        dest = call.operand("l1_addr")
         assert isinstance(dest, CbPtr)
         assert dest.cb == 4 and dest.kind == "write"
-        assert isinstance(call.operand(0, "buf"), ArgVal)
+        assert isinstance(call.operand("buf"), ArgVal)
 
     def test_noc_addr_arithmetic(self):
         from repro.ttmetal.kernel_api import NocAddr
@@ -64,7 +64,7 @@ class TestValues:
             base = NocAddr(0, 64)
             yield from ctx.noc_async_read(base + 32, 0, 32)
         (call,) = calls(kernel)
-        addr = call.operand(0, "noc_addr")
+        addr = call.operand("noc_addr")
         assert isinstance(addr, NocAddrVal)
         assert const_int(addr.addr) == 96
 
@@ -88,7 +88,7 @@ class TestControlFlow:
         trace = extract_trace(kernel)
         branch = next(n for n in trace.nodes if isinstance(n, Branch))
         assert len(branch.arms) == 2
-        seen = {const_int(c.operand(0, "cb_id"))
+        seen = {const_int(c.operand("cb_id"))
                 for c in iter_calls(trace.nodes)}
         assert seen == {0, 1}
 
@@ -97,7 +97,7 @@ class TestControlFlow:
             yield from ctx.cb_reserve_back(0, 1)
             if ctx.arg("flag"):
                 yield from ctx.cb_reserve_back(1, 1)
-        guarded = {const_int(c.operand(0, "cb_id")): g
+        guarded = {const_int(c.operand("cb_id")): g
                    for c, g in iter_calls_guarded(extract_trace(kernel).nodes)
                    if isinstance(c, Call)}
         assert guarded == {0: False, 1: True}
@@ -128,7 +128,7 @@ class TestClosureConstants:
     """Closure constants act like compile-time kernel args."""
 
     def test_constant_tuple_loops_and_indices_resolve(self):
-        got = [(c.name, const_int(c.operand(0, "cb_id")))
+        got = [(c.name, const_int(c.operand("cb_id")))
                for c in calls(_closure_kernel((3, 5, 7), True))]
         assert got[:3] == [("cb_wait_front", 3), ("cb_wait_front", 5),
                            ("cb_wait_front", 7)]
@@ -138,14 +138,14 @@ class TestClosureConstants:
     def test_constant_if_traces_only_the_taken_arm(self):
         trace = extract_trace(_closure_kernel((3, 5), False))
         assert not any(isinstance(n, Branch) for n in trace.nodes)
-        pops = [const_int(c.operand(0, "cb_id"))
+        pops = [const_int(c.operand("cb_id"))
                 for c in iter_calls(trace.nodes) if c.name == "cb_pop_front"]
         assert pops == [5, 5]
 
     def test_starred_comprehension_desugars_per_pair(self):
         ptrs = [c for c in calls(_closure_kernel((3, 5), True))
                 if c.name == "cb_set_rd_ptr"]
-        assert [const_int(c.operand(0, "cb_id")) for c in ptrs] == [3, 5]
+        assert [const_int(c.operand("cb_id")) for c in ptrs] == [3, 5]
         assert not any(c.star for c in ptrs)
 
     def test_runtime_flag_still_keeps_both_arms(self):

@@ -57,22 +57,6 @@ class TestKeys:
         b = job_key("campaign", CountConfig(value=3), 0, version="v1")
         assert a != b
 
-    def test_key_changes_with_env_snapshot(self):
-        # A cache hit bypasses the worker-side env assertion, so specs
-        # planned under different toggles must never share an entry.
-        a = job_key("stream", CountConfig(value=3), 0, version="v1",
-                    env=(("REPRO_LINT", None),))
-        b = job_key("stream", CountConfig(value=3), 0, version="v1",
-                    env=(("REPRO_LINT", "strict"),))
-        assert a != b
-
-    def test_spec_key_includes_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LINT", raising=False)
-        plain = JobSpec("_test_count", CountConfig(value=3))
-        monkeypatch.setenv("REPRO_LINT", "strict")
-        toggled = JobSpec("_test_count", CountConfig(value=3))
-        assert plain.key("v1") != toggled.key("v1")
-
     def test_canonical_json_sorts_and_normalises(self):
         assert canonical_config_json({"b": (1, 2), "a": 3}) \
             == '{"a":3,"b":[1,2]}'

@@ -58,6 +58,11 @@ class TestOrdering:
         outcomes = run_jobs(_toy_specs([2]), jobs=1)
         assert outcomes[0].record.worker is None
 
+    def test_sequential_leaves_environ_untouched(self):
+        before = dict(os.environ)
+        run_jobs(_toy_specs([2, 3]), jobs=1)
+        assert dict(os.environ) == before
+
 
 class TestDeterminism:
     def test_parallel_matches_sequential_stream_jobs(self):

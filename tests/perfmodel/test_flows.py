@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perfmodel.flows import FlowNetwork, max_min_fair_rates
+from repro.perfmodel.flows import max_min_fair_rates
 
 
 class TestExactCases:
@@ -46,45 +46,6 @@ class TestExactCases:
 
     def test_no_flows(self):
         assert max_min_fair_rates({"l": 1.0}, {}) == {}
-
-
-class TestNetworkBuilder:
-    def test_duplicate_resource(self):
-        net = FlowNetwork()
-        net.add_resource("l", 1.0)
-        with pytest.raises(ValueError):
-            net.add_resource("l", 2.0)
-
-    def test_unknown_resource_in_flow(self):
-        net = FlowNetwork()
-        with pytest.raises(KeyError):
-            net.add_flow("f", ["nope"])
-
-    def test_flow_needs_resources(self):
-        net = FlowNetwork()
-        net.add_resource("l", 1.0)
-        with pytest.raises(ValueError):
-            net.add_flow("f", [])
-
-    def test_solve(self):
-        net = FlowNetwork()
-        net.add_resource("l", 6.0)
-        net.add_flow("a", ["l"])
-        net.add_flow("b", ["l"], demand=1.0)
-        rates = net.solve()
-        assert rates["b"] == pytest.approx(1.0)
-        assert rates["a"] == pytest.approx(5.0)
-
-    def test_invalid_params(self):
-        net = FlowNetwork()
-        with pytest.raises(ValueError):
-            net.add_resource("x", 0.0)
-        net.add_resource("l", 1.0)
-        net.add_flow("a", ["l"])
-        with pytest.raises(ValueError):
-            net.add_flow("a", ["l"])
-        with pytest.raises(ValueError):
-            net.add_flow("b", ["l"], demand=0.0)
 
 
 @st.composite

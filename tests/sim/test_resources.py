@@ -1,10 +1,10 @@
-"""Unit + property tests for semaphores, channels, resources, FifoServer."""
+"""Unit + property tests for semaphores and FifoServer."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Channel, Mutex, Resource, Semaphore, SimulationError, Simulator
+from repro.sim import Semaphore, Simulator
 from repro.sim.resources import FifoServer
 
 
@@ -102,117 +102,6 @@ class TestSemaphore:
             sem.release(0)
         with pytest.raises(ValueError):
             Semaphore(sim, value=-1)
-
-
-class TestMutex:
-    def test_exclusion(self, sim):
-        m = Mutex(sim)
-        held = []
-
-        def worker(name):
-            yield m.acquire()
-            held.append(name)
-            assert m.locked
-            yield sim.timeout(1)
-            m.release()
-        sim.process(worker("a"))
-        sim.process(worker("b"))
-        sim.run()
-        assert held == ["a", "b"]
-        assert not m.locked
-
-    def test_release_unheld_rejected(self, sim):
-        m = Mutex(sim)
-        with pytest.raises(SimulationError):
-            m.release()
-
-
-class TestChannel:
-    def test_put_get(self, sim):
-        ch = Channel(sim)
-
-        def producer():
-            yield ch.put("x")
-
-        def consumer():
-            item = yield ch.get()
-            return item
-        sim.process(producer())
-        c = sim.process(consumer())
-        assert sim.run(until=c) == "x"
-
-    def test_bounded_put_blocks(self, sim):
-        ch = Channel(sim, capacity=1)
-        t_done = []
-
-        def producer():
-            yield ch.put(1)
-            yield ch.put(2)  # blocks until consumer takes
-            t_done.append(sim.now)
-
-        def consumer():
-            yield sim.timeout(4)
-            yield ch.get()
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert t_done == [pytest.approx(4.0)]
-
-    def test_fifo_order(self, sim):
-        ch = Channel(sim)
-        got = []
-
-        def producer():
-            for i in range(5):
-                yield ch.put(i)
-
-        def consumer():
-            for _ in range(5):
-                got.append((yield ch.get()))
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(ValueError):
-            Channel(sim, capacity=0)
-
-
-class TestResource:
-    def test_capacity_respected(self, sim):
-        res = Resource(sim, capacity=2)
-        active = []
-        peak = []
-
-        def worker():
-            yield res.request()
-            active.append(1)
-            peak.append(len(active))
-            yield sim.timeout(1)
-            active.pop()
-            res.release()
-        for _ in range(5):
-            sim.process(worker())
-        sim.run()
-        assert max(peak) <= 2
-
-    def test_using_helper(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def worker():
-            yield from res.using(2.0)
-            return sim.now
-        a = sim.process(worker())
-        b = sim.process(worker())
-        sim.run()
-        assert a.value == pytest.approx(2.0)
-        assert b.value == pytest.approx(4.0)
-
-    def test_over_release_rejected(self, sim):
-        res = Resource(sim)
-        with pytest.raises(SimulationError):
-            res.release()
 
 
 class TestFifoServer:

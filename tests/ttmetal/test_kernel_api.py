@@ -18,7 +18,7 @@ from repro.ttmetal import (
 from repro.ttmetal.kernel_api import KernelError, NocAddr
 
 
-def launch(device, kernels, cbs=(), sems=(), lint=None):
+def launch(device, kernels, cbs=(), sems=(), lint="warn"):
     """Helper: build and run a single-core program; returns wall time.
 
     ``lint="off"`` for tests that deliberately break the protocol to
