@@ -12,10 +12,10 @@ serve run experiences exactly the faults a standalone campaign would:
   next launch (latency, not health — corrected errors are routine);
 * ``plan.hangs`` — kernel hang at *t*: the next launch wedges and trips
   the per-launch watchdog;
-* ``plan.solver`` — SDC into an in-flight request of launch *k* (the
-  flip targets the detectable exponent bit, so the serve-path range
-  check always catches it at readback; the victim is retried under its
-  budget or shed loudly — never returned silently wrong);
+* ``plan.solver`` — SDC into an in-flight request of launch *k*: the
+  flip targets the detectable exponent bit, so the readback range check
+  always catches it and the victim is retried or shed, never returned
+  silently wrong (a hung launch reads nothing back: its flip is masked);
 * ``plan.core_failures`` — a decomposition core dies mid-launch *k*:
   the launch checkpoint/restarts on a remapped core set and the member
   serves every later launch at degraded capacity.
@@ -315,10 +315,9 @@ def render_chaos_campaign(doc: dict) -> str:
     all_runs = [doc["baseline"], *doc["runs"]]
     for run in all_runs:
         c = run["counters"]
-        faults = (c.get("hangs", 0) + c.get("sdc.detected", 0)
-                  + c.get("chaos.noc.delay", 0) + c.get("chaos.noc.drop", 0)
-                  + c.get("chaos.ecc.scrub", 0)
-                  + c.get("chaos.core_failure", 0))
+        faults = sum(c.get(k, 0) for k in (
+            "hangs", "sdc.detected", "sdc.masked", "chaos.noc.delay",
+            "chaos.noc.drop", "chaos.ecc.scrub", "chaos.core_failure"))
         verdict = "OK" if not run["violations"] \
             else f"{len(run['violations'])} violation(s)"
         table.add_row(f"{run['intensity']:g}", faults, run["completed"],

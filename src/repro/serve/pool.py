@@ -12,18 +12,18 @@ its problem, device estimate and PCIe bytes from its
 :class:`~repro.ops.registry.OpSpec`; this module names no op kind.
 
 Faults reuse the :mod:`repro.faults` resilience vocabulary two ways: a
-:class:`ServeHang` wedges the *n*-th launch on one member (the legacy
-index-keyed plan), and a per-device
-:class:`~repro.faults.plan.FaultPlan` (built by
+:class:`ServeHang` wedges the *n*-th launch on one member, and a
+per-device :class:`~repro.faults.plan.FaultPlan` (built by
 :func:`repro.serve.chaos.build_chaos`) arms NoC delays/drops, ECC
 scrubs, timed kernel hangs, in-flight SDC and mid-launch core failures.
-The per-launch watchdog writes a ``serve.hang … detected`` row that
-counts the stalled members, and the service retries the victims on
-another member (or degrades them to the CPU backend) — recorded on a
+An index-keyed fault (a ServeHang, an SDC flip, a core failure) fires on
+the member's matching launch, tenant or canary.  A tenant launch's
+watchdog writes a ``serve.hang … detected`` row counting the stalled
+members, and the service retries the victims on another member (or
+degrades them to the CPU backend) — recorded on a
 :class:`~repro.analysis.resilience.FaultTrace`, never dropped.  Each
 device also carries a :class:`~repro.serve.health.MemberHealth` breaker
-that decides, from the member's recent fault history, whether it may
-accept work at all.
+that decides, from its recent fault history, whether it may take work.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ class DeviceMember(_Member):
     holdoff first.  The chaos :class:`FaultPlan` is consumed as the
     service launches work — timed faults (NoC, ECC, timed hangs) fire
     on the next launch starting at or after their ``t``, index-keyed
-    faults (SDC, core failures) on the matching per-device launch.
+    ones (SDC, core failures) on the matching launch, tenant or canary.
     """
 
     def __init__(self, device_id: int, grid: Tuple[int, int],

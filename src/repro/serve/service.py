@@ -38,8 +38,10 @@ Life of a request::
                           fault feeds the member's health breaker
                           (healthy → suspect → quarantined →
                           reintegrating); quarantined members are
-                          drained, canary-probed and reintegrated.
-                          Each step is recorded on the FaultTrace.
+                          drained, canary-probed and reintegrated (an
+                          index-keyed fault fires on the matching
+                          launch, tenant or canary).  Each step is
+                          recorded on the FaultTrace.
 
 Deadline semantics: a queued request whose absolute deadline passes is
 shed ``deadline_expired``.  A *first* attempt in flight at its deadline
@@ -52,7 +54,7 @@ record), and the request's single terminal outcome is the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
 from repro.serve.health import HealthConfig
@@ -92,6 +94,16 @@ class _RequestState:
         self.done = done
         self.sdc_detected = 0
         self.restarts = 0
+
+
+class _Struck(NamedTuple):
+    """What struck one device launch; every fault is taken at its start."""
+
+    launch: str                       #: e.g. ``e150-0.launch3``
+    restarts: int                     #: checkpoint-restarts, every request
+    flips: Dict[int, List[DeviceMember]]  #: request index -> flip members
+    hung: List[DeviceMember]          #: stalled members (no request ends)
+    watchdog_s: float                 #: when the watchdog catches a hang
 
 
 #: fraction of a launch elapsed when a planned core failure strikes.
@@ -234,10 +246,13 @@ class SolveService:
                 return True
         return False
 
-    def _release_reservations(self) -> None:
-        for dev in self._reserved:
+    def _release_reservations(self) -> List[DeviceMember]:
+        """Drop the pending span; free and return the members it held."""
+        devs, self._reserved = self._reserved, []
+        self._pending_cluster = None
+        for dev in devs:
             dev.reserved = False
-        self._reserved.clear()
+        return devs
 
     def _dispatch_cluster(self, now: float) -> bool:
         """Reserve members for an oversized head-of-line request; launch
@@ -264,11 +279,9 @@ class SolveService:
         state = self._states.get(req.rid)
         if state is None:
             self._release_reservations()
-            self._pending_cluster = None
             return False
         if state.deadline_abs is not None and state.deadline_abs < now:
             self._release_reservations()
-            self._pending_cluster = None
             self._terminal_shed(state, "deadline_expired",
                                f"req{req.rid}", "expired-awaiting-cluster")
             return False
@@ -279,10 +292,7 @@ class SolveService:
                 return False
             dev.reserved = True
             self._reserved.append(dev)
-        devs, self._reserved = self._reserved, []
-        self._pending_cluster = None
-        for dev in devs:
-            dev.reserved = False
+        devs = self._release_reservations()
         self.metrics.trace.record(now, "serve.cluster", f"req{req.rid}",
                                   "spanned", "+".join(d.name for d in devs))
         self._launch(devs, BatchPlan((req,), (card_splits(need),)),
@@ -372,7 +382,7 @@ class SolveService:
             self.metrics.bump("batched_requests", by=len(plan))
         self.metrics.sample_depth(self.sim.now, len(self.queue))
         worker = "+".join(d.name for d in devs)
-        self.sim.process(self._run_launch(devs, plan, base_s, batch_id),
+        self.sim.process(self._run_batch(devs, plan, base_s, batch_id),
                          name=f"serve.{worker}.batch{batch_id}")
 
     def _consume_timed(self, dev: DeviceMember, t0: float) -> float:
@@ -402,24 +412,26 @@ class SolveService:
         return stretch
 
     def _run_launch(self, devs: List[DeviceMember], plan: BatchPlan,
-                    base_s: Sequence[float], batch_id: int):
+                    base_s: Sequence[float], finished):
         """Run one device launch on ``devs`` through the fault pipeline.
 
-        Every member is busy for the whole launch.  A fault on *any*
-        member hits the launch, as a real multi-card launch stalls on its
-        slowest or sickest card, and feeds the breaker of the member it
-        struck.
+        Every launch (tenant batch, cluster span, canary) takes its
+        members' armed faults here and nowhere else, and keeps them all
+        busy: a fault on *any* member hits the launch, as a multi-card
+        launch stalls on its sickest card.  NoC drops and core failures
+        feed the breaker here; the caller reacts to a hang or a flip in
+        ``finished(struck, i)``, run as request ``i``'s slice finishes
+        (none on a hung launch), and in the returned :class:`_Struck`.
         """
         t0 = self.sim.now
-        index: Dict[DeviceMember, int] = {}
+        index = {dev: dev.launches for dev in devs}
         for dev in devs:
-            index[dev] = dev.launches
             dev.launches += 1
-        worker = "+".join(d.name for d in devs)
+            dev.busy = True
         launch = "+".join(f"{d.name}.launch{index[d]}" for d in devs)
         factor = max(d.capacity_factor() for d in devs)
         times = [t * factor for t in base_s]
-        faulted = False
+        restarts = 0
 
         stretch = sum(self._consume_timed(dev, t0) for dev in devs)
         if stretch:
@@ -445,7 +457,7 @@ class SolveService:
                                      + self.pool_cfg.restart_overhead_s
                                      + redo * t_full * ratio)
                 times = new_times
-                faulted = True
+                restarts += 1
                 self.metrics.bump("chaos.core_failure")
                 self.metrics.bump("restarts")
                 self.metrics.attribute("core.failure", max(times) - before)
@@ -458,38 +470,31 @@ class SolveService:
                     "remapped",
                     f"checkpoint-restart.{dev.failed_cores}core(s)-out")
                 self._note_fault(dev, "core_failure")
-                for req in plan.requests:
-                    state = self._states.get(req.rid)
-                    if state is not None:
-                        state.restarts += 1
 
         expected = max(times)
         hung = [dev for dev in devs if dev.take_hang(t0, index[dev])]
-        if hung:
-            timeout_s = self.pool_cfg.watchdog_factor * expected
-            yield self.sim.timeout(timeout_s)
-            for dev in devs:
-                dev.busy_s += timeout_s
-                dev.busy = False
-            self.metrics.bump("hangs")
-            self.metrics.attribute("hang", timeout_s)
-            self.metrics.trace.record(
-                self.sim.now, "serve.hang", launch, "detected",
-                f"watchdog@{timeout_s:.6g}s.{len(hung)}stall(s)")
-            for dev in hung:
-                self._note_fault(dev, "hang")
-            for req in plan.requests:
-                self._retry_or_degrade(req, worker, why="hang")
-            self._wake()
-            return
-
         # SDC armed for this launch: each flip lands in one request's
         # slice and is caught at readback by the range check (the plan
-        # targets the detectable exponent bit — see faults.plan).
-        flipped: Dict[int, List[DeviceMember]] = {}
+        # targets the detectable exponent bit — see faults.plan), or is
+        # masked when the launch hangs and reads nothing back.
+        flips: Dict[int, List[DeviceMember]] = {}
         for dev in devs:
             for flip in dev.take_sdc(index[dev]):
-                flipped.setdefault(flip.row % len(plan), []).append(dev)
+                flips.setdefault(flip.row % len(plan), []).append(dev)
+        struck = _Struck(launch, restarts, flips, hung,
+                         self.pool_cfg.watchdog_factor * expected)
+        if hung:
+            yield self.sim.timeout(struck.watchdog_s)
+            for dev in devs:
+                dev.busy_s += struck.watchdog_s
+                dev.busy = False
+            self.metrics.attribute("hang", struck.watchdog_s)
+            masked = sum(len(hits) for hits in flips.values())
+            if masked:
+                self.metrics.bump("sdc.masked", by=masked)
+                self.metrics.trace.record(self.sim.now, "solver.sdc", launch,
+                                          "masked", f"{masked}flip(s).hung")
+            return struck
 
         # Requests complete as their core slices finish (staggered); the
         # members free when the slowest slice does.
@@ -499,133 +504,129 @@ class SolveService:
             if times[i] > elapsed:
                 yield self.sim.timeout(times[i] - elapsed)
                 elapsed = times[i]
-            req = plan.requests[i]
-            if i in flipped:
-                hits = len(flipped[i])
-                faulted = True
-                self.metrics.bump("sdc.injected", by=hits)
-                self.metrics.bump("sdc.detected", by=hits)
-                where = f"req{req.rid}@{launch}"
-                self.metrics.trace.record(self.sim.now, "solver.sdc",
-                                          where, "injected",
-                                          f"{hits}flip(s).bit14")
-                self.metrics.trace.record(self.sim.now, "solver.sdc",
-                                          where, "detected",
-                                          "range-check@readback")
-                state = self._states.get(req.rid)
-                if state is not None:
-                    state.sdc_detected += hits
-                for dev in dict.fromkeys(flipped[i]):
-                    self._note_fault(dev, "sdc")
-                self._retry_or_degrade(req, worker, why="sdc")
-            else:
-                self._complete(req, worker=worker, backend_used="device",
-                               cores=plan.allocations[i], batch_id=batch_id,
-                               batch_size=len(plan), start_s=t0)
+            finished(struck, i)
         if expected > elapsed:
             yield self.sim.timeout(expected - elapsed)
         for dev in devs:
             dev.busy_s += expected
             dev.busy = False
-            if not faulted:
-                self._note_success(dev)
+        return struck
+
+    def _run_batch(self, devs: List[DeviceMember], plan: BatchPlan,
+                   base_s: Sequence[float], batch_id: int):
+        """A batch or span launch: each request completes or retries."""
+        t0 = self.sim.now
+        worker = "+".join(d.name for d in devs)
+
+        def react(struck: _Struck, i: int) -> None:
+            req = plan.requests[i]
+            hits = [] if struck.hung else struck.flips.get(i, [])
+            state = self._states.get(req.rid)
+            if state is not None:
+                state.restarts += struck.restarts
+                state.sdc_detected += len(hits)
+            if struck.hung:
+                self._retry_or_degrade(req, worker, why="hang")
+                return
+            if not hits:
+                self._complete(req, worker=worker, backend_used="device",
+                               cores=plan.allocations[i], batch_id=batch_id,
+                               batch_size=len(plan), start_s=t0)
+                return
+            self.metrics.bump("sdc.injected", by=len(hits))
+            self.metrics.bump("sdc.detected", by=len(hits))
+            where = f"req{req.rid}@{struck.launch}"
+            self.metrics.trace.record(self.sim.now, "solver.sdc", where,
+                                      "injected", f"{len(hits)}flip(s).bit14")
+            self.metrics.trace.record(self.sim.now, "solver.sdc", where,
+                                      "detected", "range-check@readback")
+            for dev in dict.fromkeys(hits):
+                self._note_fault(dev, "sdc")
+            self._retry_or_degrade(req, worker, why="sdc")
+
+        struck = yield from self._run_launch(devs, plan, base_s, react)
+        if struck.hung:
+            self.metrics.bump("hangs")
+            self.metrics.trace.record(
+                self.sim.now, "serve.hang", struck.launch, "detected",
+                f"watchdog@{struck.watchdog_s:.6g}s."
+                f"{len(struck.hung)}stall(s)")
+            for dev in struck.hung:
+                self._note_fault(dev, "hang")
+            for i in range(len(plan)):
+                react(struck, i)
+        elif not (struck.restarts or struck.flips):
+            for dev in devs:
+                self._transition(dev, dev.health.note_success(self.sim.now),
+                                 "clean")
         self._wake()
 
     # -- health lifecycle --------------------------------------------------
     def _note_fault(self, dev: DeviceMember, kind: str) -> None:
         """Feed the member's breaker; record and act on transitions."""
-        now = self.sim.now
-        transition = dev.health.note_fault(now, kind)
+        transition = dev.health.note_fault(self.sim.now, kind)
         if dev.health.state == "suspect":
             # Every fault extends the holdoff — schedule the wake even
             # without a transition, or a queue with every member resting
             # would starve (no other event would rouse the dispatcher).
             self._wake_at(dev.health.held_until)
+        self._transition(dev, transition, kind)
+
+    def _transition(self, dev: DeviceMember, transition, why: str) -> None:
+        """Count, record and act on a breaker transition (``None``: none)."""
         if transition is None:
             return
         frm, to = transition
         self.metrics.bump(f"health.{frm}->{to}")
-        self.metrics.trace.record(now, "health.transition", dev.name, to,
-                                  f"from={frm}.{kind}")
+        if to == "healthy" and dev.health.mttr_samples:
+            why += f".mttr={dev.health.mttr_samples[-1]:.6g}s"
+        self.metrics.trace.record(self.sim.now, "health.transition",
+                                  dev.name, to, f"from={frm}.{why}")
         if to == "quarantined":
             self.sim.process(
                 self._probe_quarantined(dev, dev.health.epoch),
                 name=f"serve.canary.{dev.name}.e{dev.health.epoch}")
 
-    def _note_success(self, dev: DeviceMember) -> None:
-        transition = dev.health.note_success(self.sim.now)
-        if transition is None:
-            return
-        frm, to = transition
-        self.metrics.bump(f"health.{frm}->{to}")
-        detail = f"from={frm}.clean"
-        if to == "healthy" and dev.health.mttr_samples:
-            detail += f".mttr={dev.health.mttr_samples[-1]:.6g}s"
-        self.metrics.trace.record(self.sim.now, "health.transition",
-                                  dev.name, to, detail)
-
-    def _canary_service_s(self, dev: DeviceMember) -> float:
-        cfg = self.health_cfg
-        canary = SolveRequest(rid=0, nx=cfg.canary_nx, ny=cfg.canary_ny,
-                              iterations=cfg.canary_iterations)
-        plan = plan_batch([canary], dev.grid)
-        return batch_service_s(plan, self.costs)[0] * dev.capacity_factor()
-
     def _probe_quarantined(self, dev: DeviceMember, epoch: int):
         """Drain a quarantined member, canary-probe it, reintegrate it.
 
-        Canary launches consume the member's armed faults exactly like
-        tenant launches would — so a wedged or corrupting member fails
-        its probes (and stays quarantined) until the fault plan drains.
+        A canary is a one-request launch through :meth:`_run_launch`, so
+        it takes the member's armed faults exactly as a tenant launch
+        does — a wedged, corrupting or core-failing member fails its
+        probes (and stays quarantined) until the fault plan drains.
         """
         h = dev.health
         cfg = self.health_cfg
+        canary = plan_batch([SolveRequest(
+            rid=0, nx=cfg.canary_nx, ny=cfg.canary_ny,
+            iterations=cfg.canary_iterations)], dev.grid)
         while dev.busy:                       # drain the in-flight launch
             yield self.sim.timeout(cfg.probe_interval_s)
         yield self.sim.timeout(cfg.probe_delay_s)
         passes = 0
         while h.state == "quarantined" and h.epoch == epoch:
-            launch_index = dev.launches
-            dev.launches += 1
-            dev.busy = True
-            t0 = self.sim.now
             self.metrics.bump("canary.run")
-            canary_s = self._canary_service_s(dev) \
-                + self._consume_timed(dev, t0)
-            hang = dev.take_hang(t0, launch_index)
-            sdc = dev.take_sdc(launch_index)
-            if hang:
-                timeout_s = self.pool_cfg.watchdog_factor * canary_s
-                yield self.sim.timeout(timeout_s)
-                dev.busy_s += timeout_s
-                failed, why = True, "hang"
-                self.metrics.attribute("hang", timeout_s)
-            else:
-                yield self.sim.timeout(canary_s)
-                dev.busy_s += canary_s
-                failed, why = bool(sdc), "sdc"
-            dev.busy = False
-            where = f"{dev.name}.launch{launch_index}"
-            if failed:
+            struck = yield from self._run_launch(
+                [dev], canary, batch_service_s(canary, self.costs),
+                lambda _struck, _i: None)
+            why = ("hang" if struck.hung else "sdc" if struck.flips
+                   else "core_failure" if struck.restarts else None)
+            if why:
                 passes = 0
                 self.metrics.bump("canary.failed")
-                h.note_fault(self.sim.now, f"canary.{why}")
+                if why != "core_failure":   # that one was noted as it struck
+                    h.note_fault(self.sim.now, f"canary.{why}")
                 self.metrics.trace.record(self.sim.now, "serve.canary",
-                                          where, "failed", why)
+                                          struck.launch, "failed", why)
                 yield self.sim.timeout(cfg.probe_delay_s)
                 continue
             passes += 1
-            self.metrics.trace.record(self.sim.now, "serve.canary", where,
-                                      "passed",
+            self.metrics.trace.record(self.sim.now, "serve.canary",
+                                      struck.launch, "passed",
                                       f"{passes}/{cfg.canary_passes}")
             if passes >= cfg.canary_passes:
-                transition = h.to_reintegrating(self.sim.now)
-                if transition is not None:
-                    frm, to = transition
-                    self.metrics.bump(f"health.{frm}->{to}")
-                    self.metrics.trace.record(
-                        self.sim.now, "health.transition", dev.name, to,
-                        f"from={frm}.canaries={cfg.canary_passes}")
+                self._transition(dev, h.to_reintegrating(self.sim.now),
+                                 f"canaries={cfg.canary_passes}")
                 self._wake()
                 return
             yield self.sim.timeout(cfg.probe_interval_s)

@@ -1,14 +1,17 @@
 """Chaos serving: seeded per-device fault plans, the zero-silent
 invariants, the intensity campaign, and the service-level fault
-scenarios (all-members-degraded storm, retry/deadline race)."""
+scenarios (all-members-degraded storm, faults striking a canary,
+retry/deadline race)."""
 
 import json
 
 import pytest
 
-from repro.serve.chaos import (CHAOS_SCHEMA, ChaosConfig, build_chaos,
-                               render_chaos_campaign, run_chaos_campaign,
-                               summarize_chaos_run, verify_chaos_report)
+from repro.faults.plan import CoreFailure, FaultPlan, SolverBitFlip
+from repro.serve.chaos import (CHAOS_SCHEMA, ChaosConfig, ChaosPlan,
+                               build_chaos, render_chaos_campaign,
+                               run_chaos_campaign, summarize_chaos_run,
+                               verify_chaos_report)
 from repro.serve.health import HealthConfig
 from repro.serve.loadgen import LoadGenConfig, run_loadgen
 from repro.serve.pool import PoolConfig, ServeHang
@@ -203,6 +206,84 @@ class TestAllMembersDegradedStorm:
             statuses[o.status] += 1
         assert sum(statuses.values()) == self.N
         assert statuses["degraded"] >= 1          # hang victims on the CPU
+
+
+class TestCanaryFaults:
+    """A canary is a one-request launch: ``ServeHang(0, 0)`` and a
+    one-strike breaker quarantine e150-0, so its launch 1 is the first
+    canary, and a fault armed on that index strikes the probe exactly as
+    it would strike a tenant launch — never silently."""
+
+    FLIP = SolverBitFlip(iteration=1, row=0, col=0, bit=14)
+    DEATH = CoreFailure(iteration=1, iy=0, ix=0)
+
+    def _run(self, hangs=(ServeHang(0, 0),), solver=(), core_failures=()):
+        sim = Simulator()
+        e150_0 = FaultPlan(seed=0, solver=solver,
+                           core_failures=core_failures)
+        svc = SolveService(
+            sim, pool=PoolConfig(n_devices=2, n_cpu_workers=1),
+            hangs=hangs,
+            chaos=ChaosPlan(ChaosConfig(), (e150_0, FaultPlan(seed=0))),
+            health=HealthConfig(window_s=1.0, suspect_after=1,
+                                quarantine_after=1, canary_passes=1,
+                                reintegrate_successes=1, probe_delay_s=0.0))
+        for rid in range(2):
+            svc.submit(SolveRequest(rid=rid, nx=32, ny=32))
+        sim.run()
+        return svc
+
+    @staticmethod
+    def _rows(svc, kind):
+        return [(e.where, e.action, e.detail)
+                for e in svc.metrics.trace.events if e.kind == kind]
+
+    def test_core_failure_fails_the_probe(self):
+        svc = self._run(core_failures=(self.DEATH,))
+        assert self._rows(svc, "core.failure") == [
+            ("e150-0.core(0,0)", "injected", "launch1"),
+            ("e150-0.launch1", "remapped", "checkpoint-restart.1core(s)-out")]
+        assert self._rows(svc, "serve.canary") == [
+            ("e150-0.launch1", "failed", "core_failure"),
+            ("e150-0.launch2", "passed", "1/1")]
+        assert svc.pool.devices[0].failed_cores == 1
+        assert svc.metrics.counters["chaos.core_failure"] == 1
+
+    def test_flip_on_hung_tenant_launch_is_masked(self):
+        svc = self._run(solver=(SolverBitFlip(0, 0, 0, 14),))
+        assert self._rows(svc, "solver.sdc") == [
+            ("e150-0.launch0", "masked", "1flip(s).hung")]
+        c = svc.metrics.counters
+        assert c["sdc.masked"] == 1 and "sdc.injected" not in c
+
+    def test_flip_on_hung_canary_is_masked(self):
+        svc = self._run(hangs=(ServeHang(0, 0), ServeHang(0, 1)),
+                        solver=(self.FLIP,))
+        assert self._rows(svc, "solver.sdc") == [
+            ("e150-0.launch1", "masked", "1flip(s).hung")]
+        assert self._rows(svc, "serve.canary")[0] == (
+            "e150-0.launch1", "failed", "hang")
+        assert svc.metrics.counters["sdc.masked"] == 1
+
+    @pytest.mark.parametrize("why,fault", [
+        ("core_failure", dict(core_failures=(DEATH,))),
+        ("sdc", dict(solver=(FLIP,))),
+        ("hang", dict(hangs=(ServeHang(0, 0), ServeHang(0, 1))))])
+    def test_struck_canary_is_one_breaker_fault(self, why, fault):
+        svc = self._run(**fault)
+        assert self._rows(svc, "serve.canary")[0] == (
+            "e150-0.launch1", "failed", why)
+        # one fault for the hung launch 0, one for the struck canary
+        assert svc.pool.devices[0].health.total_faults == 2
+
+    def test_canary_core_failure_spares_tenant_rid0(self):
+        svc = self._run(core_failures=(self.DEATH,))
+        (tenant,) = [o for o in svc.outcomes if o.request.rid == 0]
+        (struck_at,) = {e.t for e in svc.metrics.trace.events
+                        if e.kind == "core.failure"}
+        # the canary (also rid 0) failed while tenant rid 0 was live
+        assert tenant.finish_s > struck_at
+        assert tenant.status == "completed" and tenant.restarts == 0
 
 
 class TestRetryDeadlineRace:
