@@ -25,8 +25,9 @@ non-zero coefficient in C, W, E, N, S order: multiply first, then add.
 
 Both the device program and the host reference come from the spec, so
 they agree bit for bit in BF16 and in FP32 (the Wormhole-precision
-mode): :func:`stencil_step_bf16` / :func:`stencil_step_fp32` replay the
-chain through one evaluator.
+mode): :func:`stencil_solve_bf16` / :func:`stencil_solve_fp32` replay the
+chain through one evaluator, which keeps the grid in FP32 and rounds in
+place where the device packs.
 
 The dataflow never changes: contiguous row reads into a rotating 4-row
 buffer, and ``cb_set_rd_ptr`` zero-copy aliases — every tap is one
@@ -51,7 +52,12 @@ from repro.core.jacobi_initial import (
     run_sweeps,
     simulated_iterations,
 )
-from repro.dtypes.bf16 import bf16_round, bits_to_f32, f32_to_bits
+from repro.dtypes.bf16 import (
+    bf16_round,
+    bf16_round_inplace,
+    bits_to_f32,
+    f32_to_bits,
+)
 from repro.dtypes.tiles import TILE_ELEMS
 from repro.sim.resources import Semaphore
 from repro.ttmetal import (
@@ -201,13 +207,17 @@ class StencilSpec:
 # bit-exact reference: one evaluator for BF16 and FP32
 # --------------------------------------------------------------------------
 
-def _sweep(u: np.ndarray, spec: StencilSpec, rhs: Optional[np.ndarray],
-           rnd: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The interior after one sweep of ``spec`` over FP32 halo grid ``u``.
+def _sweeps(u: np.ndarray, spec: StencilSpec, iterations: int,
+            rhs: Optional[np.ndarray],
+            rnd: Optional[Callable[[np.ndarray], np.ndarray]]) -> None:
+    """Run ``iterations`` sweeps of ``spec`` in place on FP32 halo grid ``u``.
 
-    ``rnd`` rounds FP32 values to the element type.  ``"pack"`` rounding
+    ``rnd`` rounds an FP32 array in place to the element type, or is
+    ``None`` where packing is lossless (FP32).  ``"pack"`` rounding
     applies it after every op, where the device packs to a CB; ``"dst"``
-    only once, where the register is packed to the output.
+    only once, where the register is packed to the output.  Every op
+    keeps the device's operand order, which decides the sign of the NaN a
+    NaN pair returns.
     """
     ny, nx = u.shape[0] - 2, u.shape[1] - 2
     if rhs is not None and rhs.shape != (ny, nx):
@@ -215,76 +225,107 @@ def _sweep(u: np.ndarray, spec: StencilSpec, rhs: Optional[np.ndarray],
                          f"got {rhs.shape}")
     if rhs is not None and spec.rounding == "dst":
         raise ValueError("dst rounding takes no rhs field")
-    op = rnd if spec.rounding == "pack" else (lambda x: x)
+    pack = rnd if spec.rounding == "pack" else None
+    # the output pack rounds what no op packed: the dst register, or the
+    # RHS (or zeros) of a spec without groups
+    final = rnd if spec.rounding == "dst" or not spec.groups else None
 
     def tap(t: Tap) -> np.ndarray:
         return u[1 + t[0]:1 + t[0] + ny, 1 + t[1]:1 + t[1] + nx]
 
-    acc = None
-    for scale, taps in spec.groups:
-        g = tap(taps[0])
-        for t in taps[1:]:
-            g = op(g + tap(t))
-        g = op(np.float32(scale) * g)
-        acc = g if acc is None else op(g + acc)
-    if rhs is not None:
-        acc = rhs if acc is None else op(rhs + acc)
-    return np.zeros((ny, nx), np.float32) if acc is None else rnd(acc)
+    def op(ufunc, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        ufunc(a, b, out=out)
+        if pack is not None:
+            pack(out)
 
-
-def stencil_step_bf16(bits: np.ndarray, spec: StencilSpec,
-                      rhs_bits: Optional[np.ndarray] = None) -> np.ndarray:
-    """One BF16 sweep, bit-exact to the device kernel.
-
-    ``rhs_bits`` (a ``(ny, nx)`` BF16 interior field) is added last:
-    ``out = Σ gₖ + rhs`` — the inhomogeneous term that makes
-    defect-correction solves possible (see :mod:`repro.core.refinement`).
-    """
-    b = np.asarray(bits, dtype=np.uint16)
-    rhs = None if rhs_bits is None else bits_to_f32(
-        np.asarray(rhs_bits, dtype=np.uint16))
-    out = b.copy()
-    out[1:-1, 1:-1] = f32_to_bits(_sweep(bits_to_f32(b), spec, rhs,
-                                         bf16_round))
-    return out
-
-
-def stencil_step_fp32(grid: np.ndarray, spec: StencilSpec,
-                      rhs: Optional[np.ndarray] = None) -> np.ndarray:
-    """One FP32 sweep, bit-exact to the device's FP32 mode.
-
-    The Wormhole-precision mode: every op is a single f32 rounding
-    (packing is lossless).
-    """
-    g = np.asarray(grid, dtype=np.float32)
-    r = None if rhs is None else np.asarray(rhs, dtype=np.float32)
-    out = g.copy()
-    out[1:-1, 1:-1] = _sweep(g, spec, r, lambda x: x)
-    return out
-
-
-def _solve(step, grid: np.ndarray, spec: StencilSpec, iterations: int,
-           rhs) -> np.ndarray:
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    g = grid.copy()
-    for _ in range(iterations):
-        g = step(g, spec, rhs)
-    return g
+    acc = np.zeros((ny, nx), np.float32)
+    g = np.empty_like(acc)
+    # overflow to ±inf and inf−inf → NaN are the hardware's IEEE
+    # semantics, not errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            for k, (scale, taps) in enumerate(spec.groups):
+                w = acc if k == 0 else g
+                s = np.float32(scale)
+                if spec.rounding == "dst":
+                    # copy_tile, then add_tile_to_dst: dst + tile
+                    np.copyto(w, tap(taps[0]))
+                    for t in taps[1:]:
+                        np.add(w, tap(t), out=w)
+                    np.multiply(w, s, out=w)
+                elif len(taps) == 1:
+                    op(np.multiply, s, tap(taps[0]), w)
+                else:
+                    # add_tiles(tap0, tap1), then add_tiles(tap, work)
+                    op(np.add, tap(taps[0]), tap(taps[1]), w)
+                    for t in taps[2:]:
+                        op(np.add, tap(t), w, w)
+                    op(np.multiply, s, w, w)
+                if k:
+                    op(np.add, g, acc, acc)
+            if rhs is not None:
+                if spec.groups:
+                    op(np.add, rhs, acc, acc)
+                else:
+                    np.copyto(acc, rhs)
+            if final is not None:
+                final(acc)
+            u[1:-1, 1:-1] = acc
 
 
 def stencil_solve_bf16(bits: np.ndarray, spec: StencilSpec,
                        iterations: int,
                        rhs_bits: Optional[np.ndarray] = None) -> np.ndarray:
-    return _solve(stencil_step_bf16, np.asarray(bits, dtype=np.uint16),
-                  spec, iterations, rhs_bits)
+    """``iterations`` BF16 sweeps, bit-exact to the device kernel.
+
+    ``rhs_bits`` (a ``(ny, nx)`` BF16 interior field) is added last:
+    ``out = Σ gₖ + rhs`` — the inhomogeneous term that makes
+    defect-correction solves possible (see :mod:`repro.core.refinement`).
+    The grid is unpacked once, every sweep runs in FP32 and rounds where
+    the device packs, and the interior is packed once at the end; the
+    boundary bits are returned as given.
+    """
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
+    b = np.asarray(bits, dtype=np.uint16).copy()
+    if iterations == 0:
+        return b
+    rhs = None if rhs_bits is None else bits_to_f32(
+        np.asarray(rhs_bits, dtype=np.uint16))
+    u = bits_to_f32(b)
+    _sweeps(u, spec, iterations, rhs, bf16_round_inplace)
+    b[1:-1, 1:-1] = f32_to_bits(u[1:-1, 1:-1])
+    return b
 
 
 def stencil_solve_fp32(grid: np.ndarray, spec: StencilSpec,
                        iterations: int,
                        rhs: Optional[np.ndarray] = None) -> np.ndarray:
-    return _solve(stencil_step_fp32, np.asarray(grid, dtype=np.float32),
-                  spec, iterations, rhs)
+    """``iterations`` FP32 sweeps, bit-exact to the device's FP32 mode.
+
+    The Wormhole-precision mode: every op is a single f32 rounding
+    (packing is lossless).
+    """
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
+    u = np.array(grid, dtype=np.float32)
+    if iterations:
+        _sweeps(u, spec, iterations,
+                None if rhs is None else np.asarray(rhs, dtype=np.float32),
+                None)
+    return u
+
+
+def stencil_step_bf16(bits: np.ndarray, spec: StencilSpec,
+                      rhs_bits: Optional[np.ndarray] = None) -> np.ndarray:
+    """One BF16 sweep of :func:`stencil_solve_bf16`."""
+    return stencil_solve_bf16(bits, spec, 1, rhs_bits)
+
+
+def stencil_step_fp32(grid: np.ndarray, spec: StencilSpec,
+                      rhs: Optional[np.ndarray] = None) -> np.ndarray:
+    """One FP32 sweep of :func:`stencil_solve_fp32`."""
+    return stencil_solve_fp32(grid, spec, 1, rhs)
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dtypes.bf16 import bf16_add, bf16_mul, bits_to_f32, f32_to_bits
+from repro.dtypes.bf16 import bf16_round_inplace, bits_to_f32, f32_to_bits
 
 __all__ = [
     "jacobi_step_f32",
@@ -72,31 +72,43 @@ def jacobi_step_bf16(bits: np.ndarray) -> np.ndarray:
     output element, in this order::
 
         t1 = pack(u[y, x-1] + u[y, x+1])
-        t2 = pack(t1 + u[y-1, x])
-        t3 = pack(t2 + u[y+1, x])
-        out = pack(t3 * 0.25)
+        t2 = pack(u[y-1, x] + t1)
+        t3 = pack(u[y+1, x] + t2)
+        out = pack(0.25 * t3)
     """
-    _check_halo(bits)
-    b = np.asarray(bits, dtype=np.uint16)
-    west, east = b[1:-1, :-2], b[1:-1, 2:]
-    north, south = b[:-2, 1:-1], b[2:, 1:-1]
-    quarter = f32_to_bits(np.float32(0.25))
-    t = bf16_add(west, east)
-    t = bf16_add(north, t)          # Listing 2: add_tiles(cb_in2, intermediate)
-    t = bf16_add(south, t)
-    t = bf16_mul(np.broadcast_to(quarter, t.shape), t)
-    out = b.copy()
-    out[1:-1, 1:-1] = t
-    return out
+    return jacobi_solve_bf16(bits, 1)
 
 
 def jacobi_solve_bf16(bits0: np.ndarray, iterations: int) -> np.ndarray:
-    """Run ``iterations`` BF16 sweeps (the oracle for the simulated card)."""
+    """Run ``iterations`` BF16 sweeps (the oracle for the simulated card).
+
+    The grid is unpacked once and every sweep runs in float32, rounded in
+    place where the device packs (:func:`jacobi_step_bf16`) with each
+    op's operand order kept, so the interior is packed once at the end.
+    The boundary bits are returned as given.
+    """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     b = np.asarray(bits0, dtype=np.uint16).copy()
-    for _ in range(iterations):
-        b = jacobi_step_bf16(b)
+    if iterations == 0:
+        return b
+    _check_halo(b)
+    u = bits_to_f32(b)
+    west, east = u[1:-1, :-2], u[1:-1, 2:]
+    north, south = u[:-2, 1:-1], u[2:, 1:-1]
+    quarter = np.float32(0.25)
+    t = np.empty_like(west)
+    # overflow to ±inf and inf−inf → NaN are the hardware's IEEE
+    # semantics, not errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            bf16_round_inplace(np.add(west, east, out=t))
+            # Listing 2: add_tiles(cb_in2, intermediate)
+            bf16_round_inplace(np.add(north, t, out=t))
+            bf16_round_inplace(np.add(south, t, out=t))
+            bf16_round_inplace(np.multiply(quarter, t, out=t))
+            u[1:-1, 1:-1] = t
+    b[1:-1, 1:-1] = f32_to_bits(t)
     return b
 
 

@@ -14,6 +14,8 @@ computed at float32 precision, and the result is **packed** back to BF16
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "f32_to_bits",
     "bits_to_f32",
     "bf16_round",
+    "bf16_round_inplace",
     "bf16_add",
     "bf16_sub",
     "bf16_mul",
@@ -30,6 +33,33 @@ __all__ = [
 #: Storage size of one BF16 element in DRAM/SRAM.
 BF16_BYTES = 2
 
+
+def _rne(f32: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Round float32 ``f32`` to nearest-even BF16, in the uint32 domain.
+
+    The one definition of the pack's rounding: the BF16 pattern lands in
+    the upper half of the returned ``uint32`` array (the low half is
+    left over from the bias), written into ``out`` when given (which may
+    be ``f32``'s own bits) or else into a fresh temporary.  NaNs become
+    the pack's quiet NaN ``sign | 0x7FC00000``: the bias could otherwise
+    carry a NaN's payload into the exponent or the sign.
+    """
+    u32 = f32.view(np.uint32)
+    nan = None
+    # one reduction screens for NaN (minimum propagates it)
+    if f32.size and math.isnan(np.minimum.reduce(f32, axis=None)):
+        nan = np.isnan(f32)
+        quiet = (u32[nan] & 0x8000_0000) | 0x7FC0_0000
+    # round-to-nearest-even: add 0x7FFF plus the LSB of the retained part
+    bias = u32 >> 16
+    bias &= 1
+    bias += 0x7FFF
+    out = np.add(u32, bias, out=bias if out is None else out)
+    if nan is not None:
+        out[nan] = quiet
+    return out
+
+
 def f32_to_bits(x: np.ndarray | float) -> np.ndarray:
     """Convert float32 values to BF16 bit patterns (``uint16``).
 
@@ -38,22 +68,9 @@ def f32_to_bits(x: np.ndarray | float) -> np.ndarray:
     floats and float64 arrays are accepted); output has the same shape.
     """
     arr = np.asarray(x, dtype=np.float32)
-    f32 = np.ascontiguousarray(arr)  # promotes 0-d input to 1-d
-    u32 = f32.view(np.uint32)
-    # round-to-nearest-even: add 0x7FFF plus the LSB of the retained part,
-    # in place on one temporary (the pack runs once per tile).
-    t = u32 >> 16
-    t &= 1
-    t += 0x7FFF
-    t += u32
+    t = _rne(np.ascontiguousarray(arr))  # promotes 0-d input to 1-d
     t >>= 16
-    bits = t.astype(np.uint16)
-    # NaN inputs: rounding bias may carry into the exponent; force a quiet
-    # NaN with the sign preserved instead.
-    nan = np.isnan(f32)
-    if nan.any():
-        bits[nan] = ((u32[nan] >> 16) & 0x8000) | 0x7FC0
-    return bits.reshape(arr.shape)
+    return t.astype(np.uint16).reshape(arr.shape)
 
 
 def bits_to_f32(bits: np.ndarray) -> np.ndarray:
@@ -68,9 +85,25 @@ def bits_to_f32(bits: np.ndarray) -> np.ndarray:
     return np.left_shift(b, 16, dtype=np.uint32).view(np.float32)
 
 
+def bf16_round_inplace(f32: np.ndarray) -> np.ndarray:
+    """Round a float32 array to the nearest BF16 values, in place.
+
+    Equal to ``bits_to_f32(f32_to_bits(f32))`` bit for bit, NaNs
+    included, without leaving float32: the host references keep their
+    grids in float32 and call this where the device packs.  ``f32`` may
+    be any writable float32 array or view (0-d and strided too); it is
+    returned.
+    """
+    if f32.dtype != np.float32:
+        raise TypeError(f"expected a float32 array, got {f32.dtype}")
+    u32 = _rne(f32, out=f32.view(np.uint32))
+    u32 &= 0xFFFF_0000
+    return f32
+
+
 def bf16_round(x: np.ndarray | float) -> np.ndarray:
     """Round float values to the nearest representable BF16, as float32."""
-    return bits_to_f32(f32_to_bits(x))
+    return bf16_round_inplace(np.array(x, dtype=np.float32))
 
 
 def is_bf16_exact(x: np.ndarray | float) -> bool:

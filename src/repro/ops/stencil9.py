@@ -15,11 +15,11 @@ decompositions, which the 5-point SRAM kernel never exercised.
 
 Determinism: every intermediate of the 9-term chain passes through a
 BF16 pack, so the device arithmetic is a fixed elementwise sequence of
-``bf16_add``/``bf16_mul`` steps.  :func:`stencil9_reference_bits`
-replays that sequence vectorised over the whole grid; because the
-sequence is elementwise, the readback is **bit-identical for every
-decomposition** — the property the differential tests pin across 1D
-row, 1D column and 2D tilings.
+float32 adds and multiplies, each rounded to BF16.
+:func:`stencil9_reference_bits` replays that sequence vectorised over
+the whole grid; because the sequence is elementwise, the readback is
+**bit-identical for every decomposition** — the property the
+differential tests pin across 1D row, 1D column and 2D tilings.
 
 DRAM-alignment rule: with ``cores_x > 1`` several cores write segments
 of the same padded row concurrently, and the simulated controller
@@ -41,7 +41,12 @@ from repro.arch.sram import SramExhausted
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
 from repro.core.decomposition import split_domain
 from repro.core.grid import AlignedDomain, LaplaceProblem
-from repro.dtypes.bf16 import bf16_add, bf16_mul, f32_to_bits
+from repro.dtypes.bf16 import (
+    bf16_round,
+    bf16_round_inplace,
+    bits_to_f32,
+    f32_to_bits,
+)
 from repro.ops.registry import (
     OpCheckError,
     OpRunResult,
@@ -121,19 +126,35 @@ def stencil9_reference_bits(halo_bits: np.ndarray, iters: int) -> np.ndarray:
     """Replay the device's BF16 op sequence over the whole halo grid.
 
     Bit-identical to the device readback for every core decomposition
-    (the chain is elementwise, so tiling cannot change any value).
+    (the chain is elementwise, so tiling cannot change any value).  The
+    grid stays in float32 between packs: each op rounds in place where
+    the device packs, with the device's operand order, and the interior
+    is packed once at the end.
     """
     g = np.asarray(halo_bits, dtype=np.uint16).copy()
-    c1 = np.uint16(f32_to_bits(np.float32(AXIAL_W)))
-    c2 = np.uint16(f32_to_bits(np.float32(DIAG_W)))
-    for _ in range(iters):
-        w, e = g[1:-1, :-2], g[1:-1, 2:]
-        n, s = g[:-2, 1:-1], g[2:, 1:-1]
-        nw, ne = g[:-2, :-2], g[:-2, 2:]
-        sw, se = g[2:, :-2], g[2:, 2:]
-        ax = bf16_add(bf16_add(bf16_add(w, e), n), s)
-        dg = bf16_add(bf16_add(bf16_add(nw, ne), sw), se)
-        g[1:-1, 1:-1] = bf16_add(bf16_mul(ax, c1), bf16_mul(dg, c2))
+    if iters <= 0:
+        return g
+    u = bits_to_f32(g)
+    w, e = u[1:-1, :-2], u[1:-1, 2:]
+    n, s = u[:-2, 1:-1], u[2:, 1:-1]
+    nw, ne = u[:-2, :-2], u[:-2, 2:]
+    sw, se = u[2:, :-2], u[2:, 2:]
+    c1 = bf16_round(np.float32(AXIAL_W))
+    c2 = bf16_round(np.float32(DIAG_W))
+    ax, dg = np.empty_like(w), np.empty_like(w)
+    out = u[1:-1, 1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            bf16_round_inplace(np.add(w, e, out=ax))
+            bf16_round_inplace(np.add(ax, n, out=ax))
+            bf16_round_inplace(np.add(ax, s, out=ax))
+            bf16_round_inplace(np.add(nw, ne, out=dg))
+            bf16_round_inplace(np.add(dg, sw, out=dg))
+            bf16_round_inplace(np.add(dg, se, out=dg))
+            bf16_round_inplace(np.multiply(ax, c1, out=ax))
+            bf16_round_inplace(np.multiply(dg, c2, out=dg))
+            bf16_round_inplace(np.add(ax, dg, out=out))
+    g[1:-1, 1:-1] = f32_to_bits(out)
     return g
 
 

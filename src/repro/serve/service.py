@@ -126,7 +126,6 @@ class SolveService:
         self.costs = costs
         self.health_cfg = health or HealthConfig(
             suspect_holdoff_s=self.pool_cfg.hang_cooldown_s)
-        self.chaos = chaos           #: ChaosPlan or None
         self.queue = BoundedPriorityQueue(self.scheduler_cfg)
         self.pool = WorkerPool(self.pool_cfg, hangs, chaos=chaos,
                                health=self.health_cfg)

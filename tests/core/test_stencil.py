@@ -20,10 +20,31 @@ from repro.core.stencil import (
     StencilRunner,
     StencilSpec,
     stencil_solve_bf16,
+    stencil_solve_fp32,
     stencil_step_bf16,
 )
 from repro.cpu.jacobi import jacobi_solve_bf16
 from repro.dtypes.bf16 import bits_to_f32
+
+#: the grid of ``nan_pair_grid``: interior 4×32
+NAN_PAIR_PROBLEM = LaplaceProblem(nx=32, ny=4)
+
+
+def nan_pair_grid(dtype: str) -> np.ndarray:
+    """A 6×34 halo grid on which two NaNs of opposite sign meet.
+
+    After one Jacobi sweep, cell ``[2, 5]`` adds its north tap, a
+    positive NaN, to the running sum of its west and east taps, a
+    negative NaN (west) plus 1.0 (east).  BF16 grids hold bits, FP32
+    grids float32 values.
+    """
+    if dtype == "bf16":
+        g = np.zeros((6, 34), np.uint16)
+        g[2, 4], g[2, 6], g[1, 5] = 0xFFC1, 0x3F80, 0x7FC1
+        return g
+    g = np.zeros((6, 34), np.uint32)
+    g[2, 4], g[2, 6], g[1, 5] = 0xFFC10000, 0x3F800000, 0x7FC10000
+    return g.view(np.float32)
 
 
 class TestStencilSpec:
@@ -72,6 +93,17 @@ class TestReference:
         a = stencil_solve_bf16(p.initial_grid_bf16(), StencilSpec.jacobi(), 5)
         b = jacobi_solve_bf16(p.initial_grid_bf16(), 5)
         assert np.array_equal(a, b)
+        # Listing 2 adds each later tap as add_tiles(tap, sum), so where
+        # two NaNs meet the tap's sign wins ...
+        g = nan_pair_grid("bf16")
+        a = stencil_solve_bf16(g, StencilSpec.jacobi(), 1)
+        assert np.array_equal(a, jacobi_solve_bf16(g, 1))
+        assert a[2, 5] == 0x7FC0
+        f = stencil_solve_fp32(nan_pair_grid("fp32"), StencilSpec.jacobi(), 1)
+        assert f.view(np.uint32)[2, 5] == 0x7FC10000
+        # ... while the dst ablation accumulates dst + tile: the sum's sign
+        d = stencil_solve_bf16(g, StencilSpec.jacobi("dst"), 1)
+        assert d[2, 5] == 0xFFC0
 
     def test_identity_spec(self):
         p = LaplaceProblem(nx=32, ny=8, left=1.0, initial=0.5)
@@ -98,15 +130,30 @@ class TestReference:
 
 
 class TestDeviceExecution:
-    @pytest.mark.parametrize("spec_name,args", [
-        ("jacobi", ()), ("diffusion", (0.2,)),
-        ("advection_upwind", (0.3, 0.2)),
+    @pytest.mark.parametrize("spec_name,args,dtype,nan_pair", [
+        pytest.param("jacobi", (), "bf16", False, id="jacobi-args0"),
+        pytest.param("diffusion", (0.2,), "bf16", False, id="diffusion-args1"),
+        pytest.param("advection_upwind", (0.3, 0.2), "bf16", False,
+                     id="advection_upwind-args2"),
+        pytest.param("jacobi", (), "bf16", True, id="nan_pair-pack-bf16"),
+        pytest.param("jacobi", ("dst",), "bf16", True, id="nan_pair-dst-bf16"),
+        pytest.param("jacobi", (), "fp32", True, id="nan_pair-pack-fp32"),
     ])
-    def test_device_matches_reference(self, device_factory, spec_name, args):
+    def test_device_matches_reference(self, device_factory, spec_name, args,
+                                      dtype, nan_pair):
         spec = getattr(StencilSpec, spec_name)(*args)
-        p = LaplaceProblem(nx=32, ny=16, left=1.0)
-        res = StencilRunner(device_factory(), p, spec).run(4)
-        want = stencil_solve_bf16(p.initial_grid_bf16(), spec, 4)
+        if nan_pair:
+            p, sweeps, grid = NAN_PAIR_PROBLEM, 1, nan_pair_grid(dtype)
+        else:
+            p, sweeps, grid = LaplaceProblem(nx=32, ny=16, left=1.0), 4, None
+        runner = StencilRunner(device_factory(), p, spec, dtype=dtype)
+        if dtype == "bf16":
+            grid = p.initial_grid_bf16() if grid is None else grid
+            res = runner.run(sweeps, initial_grid=grid)
+            want = stencil_solve_bf16(grid, spec, sweeps)
+        else:
+            res = runner.run(sweeps, initial_grid=grid.view(np.uint32))
+            want = stencil_solve_fp32(grid, spec, sweeps).view(np.uint32)
         assert np.array_equal(res.grid_bits, want)
 
     def test_multicore(self, device_factory):

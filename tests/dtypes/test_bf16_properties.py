@@ -9,6 +9,8 @@ guarantees: commutativity of add/mul, the sub/add-negation identity,
 and the multiplicative/additive identities.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.dtypes.bf16 import (
     bf16_add,
     bf16_mul,
     bf16_round,
+    bf16_round_inplace,
     bf16_sub,
     bits_to_f32,
     f32_to_bits,
@@ -61,17 +64,22 @@ def _check_against_reference(u32s: np.ndarray) -> None:
         f"want 0x{int(want[mismatch[0]]):04X}")
 
 
+def _upper_half_patterns() -> np.ndarray:
+    """Every upper half with each low half that picks a rounding class:
+    exact, just above zero, just below, at and just above half, all
+    ones (393,216 float32 bit patterns)."""
+    tops = np.arange(1 << 16, dtype=np.uint32) << np.uint32(16)
+    lows = np.array([0x0000, 0x0001, 0x7FFF, 0x8000, 0x8001, 0xFFFF],
+                    dtype=np.uint32)
+    return (tops[:, None] | lows).ravel()
+
+
 class TestRoundToNearestEven:
     def test_exhaustive_upper_half_patterns(self):
-        """Every upper half with each low half that picks a rounding
-        class: exact, just above zero, just below, at and just above
-        half, all ones.  This covers ties of both LSB parities, carries
-        into the exponent and into ±inf, and NaNs whose top 16 bits read
-        as ±inf (393,216 patterns)."""
-        tops = np.arange(1 << 16, dtype=np.uint32) << np.uint32(16)
-        lows = np.array([0x0000, 0x0001, 0x7FFF, 0x8000, 0x8001, 0xFFFF],
-                        dtype=np.uint32)
-        _check_against_reference((tops[:, None] | lows).ravel())
+        """This covers ties of both LSB parities, carries into the
+        exponent and into ±inf, and NaNs whose top 16 bits read as
+        ±inf."""
+        _check_against_reference(_upper_half_patterns())
 
     def test_unpack_exhaustive(self):
         """Every BF16 pattern, NaNs included, widens to ``u16 << 16``."""
@@ -113,6 +121,48 @@ class TestRoundToNearestEven:
         is_nan = ((bits & 0x7F80) == 0x7F80) & ((bits & 0x007F) != 0)
         expect = np.where(is_nan, (bits & 0x8000) | np.uint16(0x7FC0), bits)
         assert np.array_equal(out, expect)
+
+
+class TestRoundInPlace:
+    """``bf16_round_inplace`` is the pack and unpack without leaving
+    float32: the host references call it where the device packs."""
+
+    def test_exhaustive_matches_pack_unpack(self):
+        """Every NaN payload and sign, ±inf, overflow to inf and
+        subnormals: bit-equal to ``bits_to_f32(f32_to_bits(x))``."""
+        x = _upper_half_patterns().view(np.float32)
+        want = bits_to_f32(f32_to_bits(x)).view(np.uint32)
+        y = x.copy()
+        assert bf16_round_inplace(y) is y
+        assert np.array_equal(y.view(np.uint32), want)
+
+    def test_zero_d_array(self):
+        for u32 in (0x3F80_8001, 0x7F7F_FFFF, 0xFFC1_2345, 0x0000_8000):
+            x = np.array(u32, dtype=np.uint32).view(np.float32)
+            want = bits_to_f32(f32_to_bits(x)).view(np.uint32)
+            bf16_round_inplace(x)
+            assert x.shape == () and x.view(np.uint32) == want
+
+    def test_strided_view_rounds_only_its_elements(self):
+        rng = np.random.default_rng(0x5EED)
+        grid = rng.integers(0, 1 << 32, (12, 40), dtype=np.uint32)
+        f32 = grid.view(np.float32)
+        view = f32[1:-1:2, 3::3]
+        want = grid.copy()
+        want[1:-1:2, 3::3] = bits_to_f32(f32_to_bits(view)).view(np.uint32)
+        bf16_round_inplace(view)
+        assert np.array_equal(grid, want)
+
+    def test_no_warning(self):
+        x = _upper_half_patterns().view(np.float32).copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bf16_round_inplace(x)
+            bf16_round_inplace(np.empty(0, np.float32))
+
+    def test_rejects_other_dtypes(self):
+        with pytest.raises(TypeError, match="float32"):
+            bf16_round_inplace(np.zeros(4))
 
 
 def _random_bf16_bits(rng, n, finite=False):
