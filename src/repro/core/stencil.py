@@ -158,6 +158,12 @@ class StencilSpec:
         return cls(((0.25, (W, E, N, S)),), rounding)
 
     @classmethod
+    def nine_point(cls) -> "StencilSpec":
+        """The 9-point relaxation of the op library's ``stencil9``:
+        ``0.2·(((W + E) + N) + S) + 0.05·(((NW + NE) + SW) + SE)``."""
+        return cls(((0.2, (W, E, N, S)), (0.05, (NW, NE, SW, SE))))
+
+    @classmethod
     def diffusion(cls, alpha: float) -> "StencilSpec":
         """Explicit heat step u + α∇²u (stable for α ≤ 0.25).
 
@@ -191,6 +197,20 @@ class StencilSpec:
         """The distinct taps in first-use order (one input CB each)."""
         return tuple(dict.fromkeys(t for _s, taps in self.groups
                                    for t in taps))
+
+    def tile_ops(self, rhs: bool = False) -> int:
+        """Tile ops (FPU ops plus packs) the generated compute program
+        issues per row chunk, with an RHS field if ``rhs``.
+
+        ``"pack"``: a group of n taps is n ops (n − 1 adds and its
+        scale), each later group and the RHS add one more, and every op
+        packs once.  ``"dst"``: a copy, n − 1 accumulates and the output
+        pack (its FPU reconfiguration stall is not a tile op).
+        """
+        n_taps = sum(len(taps) for _s, taps in self.groups)
+        if self.rounding == "dst":
+            return n_taps + 1
+        return 2 * (n_taps + len(self.groups) - 1 + rhs)
 
     def weight(self, tap: Tap) -> float:
         """The coefficient of ``tap`` in the exact update."""

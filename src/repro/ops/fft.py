@@ -121,6 +121,17 @@ def twiddle_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
 
 
+def _complex64(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Assemble complex64 from its two float32 planes, bit for bit.
+
+    ``re + 1j * im`` would compute the real part as ``re + 0·im``: NaN
+    wherever ``im`` is ±inf or NaN, and +0.0 for a −0.0.
+    """
+    z = np.empty(re.shape, np.complex64)
+    z.real, z.imag = re, im
+    return z
+
+
 # -- host reference ----------------------------------------------------------
 
 def fft_reference_bits(x: np.ndarray) -> np.ndarray:
@@ -157,7 +168,7 @@ def fft_reference_bits(x: np.ndarray) -> np.ndarray:
             np.subtract(xi1, ti, out=xi2)
             np.add(xi1, ti, out=xi1)
             m *= 2
-        return (xr + 1j * xi).astype(np.complex64)
+    return _complex64(xr, xi)
 
 
 # -- device kernels ----------------------------------------------------------
@@ -354,7 +365,7 @@ def run_fft(problem: FftProblem, cores: Tuple[int, int] = (1, 1),
     yi = _unpack_blocked(EnqueueReadBuffer(dev, xi_buf).view("<f4"),
                          shares, strides, n, batch)
     t_out = dev.sim.now - t0
-    y = (yr + 1j * yi).astype(np.complex64)
+    y = _complex64(yr, yi)
 
     detail = "unchecked"
     if check:

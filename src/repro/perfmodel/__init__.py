@@ -2,10 +2,10 @@
 
 * :mod:`repro.perfmodel.calibration` — every timing constant used by the
   simulator, each derived from a specific measurement in the paper.
-* :mod:`repro.perfmodel.flows` — max-min fair bandwidth allocation over
-  shared NoC/DRAM resources (Tier-2 contention model).
-* :mod:`repro.perfmodel.scaling` — analytic multi-core / multi-card
-  steady-state model used for Tables VII and VIII.
+* :mod:`repro.perfmodel.scaling` — the one closed form of the stencil
+  family: analytic multi-core / multi-card steady state, with closed-form
+  column contention, for any ``StencilSpec`` (Tables VII and VIII, and
+  the ``stencil9`` op).
 * :mod:`repro.perfmodel.cpumodel` — Xeon 8260M performance/energy model.
 * :mod:`repro.perfmodel.ops` — roofline/energy estimates for the
   :mod:`repro.ops` workload library.
@@ -13,7 +13,6 @@
 
 from repro.perfmodel.calibration import CostModel, DEFAULT_COSTS
 from repro.perfmodel.cpumodel import XeonModel
-from repro.perfmodel.flows import max_min_fair_rates
 from repro.perfmodel.ops import OpEstimate
 from repro.perfmodel.scaling import JacobiScalingModel, MulticoreResult
 
@@ -24,5 +23,4 @@ __all__ = [
     "MulticoreResult",
     "OpEstimate",
     "XeonModel",
-    "max_min_fair_rates",
 ]

@@ -4,10 +4,12 @@ Each op gets a closed-form estimate built from the same
 :class:`~repro.perfmodel.calibration.CostModel` constants that drive the
 simulator: FPU throughput from ``fpu_op`` (75 ns per tile operation),
 memory movement from the NoC/DRAM request model, and energy from the
-measured card power curve.  The estimate deliberately mirrors the
+measured card power curve.  The matmul and FFT estimates mirror the
 structure of :class:`~repro.perfmodel.scaling.JacobiScalingModel` — a
 compute term and a memory term joined by the overlap-loss factor — so
 per-op ``% of roofline`` numbers in the README table are comparable.
+``stencil9`` runs on the stencil family, so its estimate *is* that
+model, priced for its spec.
 
 Each estimator is registered as its op's ``OpSpec.estimate``
 (:mod:`repro.ops.registry`), which is how ``repro.serve`` prices the
@@ -18,15 +20,16 @@ import :mod:`repro.ops`, so the op modules can import it at load time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
+from repro.perfmodel.scaling import JacobiScalingModel, optimized_kernel_phases
 
 __all__ = [
     "OpEstimate",
     "matmul_estimate",
     "fft_estimate",
-    "stencil9_estimate",
+    "stencil_estimate",
 ]
 
 #: elements along one tile edge; one FPU tile op touches a 32x32 tile.
@@ -65,10 +68,12 @@ class OpEstimate:
 
 def _finish(op: str, cores: Tuple[int, int], flops: float, bytes_in: int,
             bytes_out: int, compute_s: float, memory_s: float,
-            costs: CostModel) -> OpEstimate:
-    """Combine the two phases the way the scaling model does."""
+            costs: CostModel, time_s: Optional[float] = None) -> OpEstimate:
+    """Combine the two phases the way the scaling model does, unless the
+    modelled ``time_s`` is given."""
     roofline_s = max(compute_s, memory_s)
-    time_s = roofline_s + costs.overlap_loss * min(compute_s, memory_s)
+    if time_s is None:
+        time_s = roofline_s + costs.overlap_loss * min(compute_s, memory_s)
     n_cores = cores[0] * cores[1]
     power = costs.card_power_w(n_cores)
     return OpEstimate(
@@ -136,23 +141,22 @@ def fft_estimate(problem, cores: Tuple[int, int],
                    compute_s, memory_s, costs)
 
 
-def stencil9_estimate(problem, cores: Tuple[int, int],
-                      costs: CostModel = DEFAULT_COSTS) -> OpEstimate:
-    """9-point ping-pong sweeps: 9 tile-op+pack pairs per row per sweep."""
-    cy, cx = cores
-    ny = -(-problem.ny // cy)
-    nx = -(-problem.nx // cx)
-    rows_per_sweep = ny
-    tile_ops = rows_per_sweep * 9 * 2 * problem.iters
-    compute_s = tile_ops * costs.fpu_op
-    irb = (nx + 2) * 2
-    in_rows = (ny + 2) * problem.iters
-    out_rows = ny * problem.iters
-    memory_s = _move_time(in_rows * irb, in_rows, costs, read=True) \
-        + _move_time(out_rows * nx * 2, out_rows, costs, read=False)
-    flops = problem.flops()
-    plane = problem.nx * problem.ny * 2
-    return _finish("stencil9", cores, flops,
-                   3 * plane * problem.iters, plane * problem.iters,
-                   compute_s, memory_s, costs)
+def stencil_estimate(problem, cores: Tuple[int, int],
+                     costs: CostModel = DEFAULT_COSTS) -> OpEstimate:
+    """``stencil9``: ``problem.iters`` sweeps of ``problem.spec`` over an
+    ``ny x nx`` interior, priced by the stencil family's one closed form.
 
+    Time is :meth:`JacobiScalingModel.run`'s.  Compute and memory are the
+    slowest core's FPU stage and its slower data mover, whose larger is
+    the pipeline's ideal bound; the bytes count every core.
+    """
+    cy, cx = cores
+    spec, iters = problem.spec, problem.iters
+    ph = optimized_kernel_phases(-(-problem.nx // cx), -(-problem.ny // cy),
+                                 costs, spec=spec)
+    time_s = JacobiScalingModel(costs).run(problem.nx, problem.ny, iters,
+                                           cy, cx, spec=spec).solve_time_s
+    n = cy * cx * iters
+    return _finish("stencil9", cores, problem.flops(), ph.read_bytes * n,
+                   ph.write_bytes * n, ph.compute * iters,
+                   max(ph.read, ph.write) * iters, costs, time_s)

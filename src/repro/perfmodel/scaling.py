@@ -1,19 +1,23 @@
-"""Tier-2 analytic scaling model for the optimised Jacobi kernel.
+"""Tier-2 analytic scaling model for the Section-VI stencil family.
 
 Used for the many-core rows of Table VIII where per-request discrete-event
-simulation would be wasteful.  The model composes the same calibrated
-per-request/per-op costs as the DES:
+simulation would be wasteful, and for every ``stencil9`` request serve
+prices.  The model composes the same calibrated per-request/per-op costs
+as the DES, for any :class:`~repro.core.stencil.StencilSpec` (Listing 2
+by default):
 
 1. **Per-core pipeline.**  Each core sweeps its sub-domain in 1024-element
    row chunks (Fig. 6).  The reader, compute and writer baby cores form a
    3-stage pipeline, so the solo iteration time is
    ``max(stages) + overlap_loss · (sum(stages) − max(stages))`` — the
    second term is the CB-stall imperfection calibrated against the paper's
-   1.06 GPt/s single-core measurement.
-2. **Contention.**  Each core's DRAM traffic is a flow crossing its shared
-   physical grid-column uplink and the aggregate DRAM bank capacity;
-   steady-state rates come from demand-bounded max-min fairness
-   (:mod:`repro.perfmodel.flows`).
+   1.06 GPt/s single-core measurement.  The compute stage issues the
+   spec's :meth:`~repro.core.stencil.StencilSpec.tile_ops` per chunk.
+2. **Contention.**  Each core's DRAM traffic is one of ``per_col``
+   identical flows over its shared physical grid-column uplink and the
+   column's fair share of the DRAM banks, so demand-bounded max-min
+   fairness has a closed form: each flow gets the smaller of its demand
+   and the tighter resource's equal share.
 3. **Cards.**  The domain is split in Y across cards and power sums per
    card.  A halo row travels each way per iteration only over a card
    link (``CostModel.card_link_bw``).  The e150 has none (no remote
@@ -29,13 +33,13 @@ grid height, so Y must map to the width).  We reproduce that rule in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List
 
 from repro.dtypes.tiles import TILE_ELEMS
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
-from repro.perfmodel.flows import max_min_fair_rates
 
 __all__ = [
     "KernelPhases",
@@ -60,6 +64,14 @@ def chunk_widths(width: int, chunk: int = TILE_ELEMS) -> List[int]:
         raise ValueError("width must be positive")
     full, rem = divmod(width, chunk)
     return [chunk] * full + ([rem] if rem else [])
+
+
+@functools.lru_cache(maxsize=None)
+def _listing2():
+    """Listing 2's spec, the one the model prices by default.  Imported
+    on first use: :mod:`repro.core` imports this package."""
+    from repro.core.stencil import StencilSpec
+    return StencilSpec.jacobi()
 
 
 @dataclass(frozen=True)
@@ -90,19 +102,22 @@ class KernelPhases:
 def optimized_kernel_phases(width: int, height: int,
                             costs: CostModel = DEFAULT_COSTS,
                             elem_bytes: int = _BF16,
-                            chunk_elems: int = TILE_ELEMS) -> KernelPhases:
+                            chunk_elems: int = TILE_ELEMS,
+                            spec=None) -> KernelPhases:
     """Stage times for the Section-VI kernel on a ``width``×``height`` block.
 
     Per row the reader fetches each chunk plus its two X halos in one
-    contiguous read; the compute core runs the Listing-2 pipeline
-    (4 math + 4 pack tile ops) per chunk; the writer stores each chunk
-    contiguously (alignment guaranteed by the Fig.-5 padding).
+    contiguous read; the compute core runs ``spec``'s generated pipeline
+    (Listing 2's by default: 4 math + 4 pack tile ops) per chunk; the
+    writer stores each chunk contiguously (alignment guaranteed by the
+    Fig.-5 padding).
 
     ``elem_bytes``/``chunk_elems`` generalise the datatype: the Grayskull
     runs BF16 (2 B, 1024-element tiles); the Wormhole projection runs
     FP32 (4 B, 512-element tiles — the same 16384-bit FPU width).
     """
     chunks = chunk_widths(width, chunk_elems)
+    tile_ops = (spec or _listing2()).tile_ops()
     read_t = compute_t = write_t = 0.0
     read_b = write_b = 0
     for w in chunks:
@@ -110,10 +125,11 @@ def optimized_kernel_phases(width: int, height: int,
         wb = w * elem_bytes
         read_t += costs.core_loop_batch + costs.read_request_time(
             rb, contiguous=True, interleaved=True)
-        # 8 tile ops regardless of chunk width: a ragged chunk still runs
-        # full FPU passes.
+        # the same tile ops regardless of chunk width: a ragged chunk
+        # still runs full FPU passes.
         n_tiles = max(1, math.ceil(w / chunk_elems))
-        compute_t += costs.core_loop_batch + 8 * costs.fpu_op * n_tiles
+        compute_t += costs.core_loop_batch \
+            + tile_ops * costs.fpu_op * n_tiles
         write_t += costs.core_loop_batch + costs.write_request_time(
             wb, contiguous=True, interleaved=True)
         read_b += rb
@@ -151,7 +167,7 @@ def columns_used(cores_y: int, cores_x: int, costs: CostModel) -> int:
 
 @dataclass(frozen=True)
 class MulticoreResult:
-    """Outcome of a modelled multi-core / multi-card Jacobi run."""
+    """Outcome of a modelled multi-core / multi-card stencil run."""
 
     total_cores: int
     cores_y: int
@@ -166,7 +182,8 @@ class MulticoreResult:
 
 
 class JacobiScalingModel:
-    """Analytic performance/energy model for Table VIII configurations."""
+    """Analytic performance/energy model of the Section-VI stencil family
+    (Table VIII configurations and ``stencil9``)."""
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS):
         self.costs = costs
@@ -177,8 +194,8 @@ class JacobiScalingModel:
 
     def run(self, width: int, height: int, iterations: int,
             cores_y: int, cores_x: int, n_cards: int = 1,
-            dtype: str = "bf16") -> MulticoreResult:
-        """Model a Jacobi solve decomposed over a core grid and cards.
+            dtype: str = "bf16", spec=None) -> MulticoreResult:
+        """Model a stencil solve decomposed over a core grid and cards.
 
         ``width``/``height`` are the global domain in elements;
         ``cores_y``/``cores_x`` is the core grid of one card.  With
@@ -187,7 +204,9 @@ class JacobiScalingModel:
         exchanges one halo row each way over the card link, if the cost
         model has one.  ``dtype`` (``"bf16"`` or ``"fp32"``) sets the
         element size and the FPU tile width, as ``StencilRunner(dtype=)``
-        does in the DES.
+        does in the DES.  ``spec`` is the
+        :class:`~repro.core.stencil.StencilSpec` swept (default Listing
+        2's Jacobi).
         """
         c = self.costs
         if dtype not in ("bf16", "fp32"):
@@ -205,7 +224,7 @@ class JacobiScalingModel:
         wx = self._split(width, cores_x)
         wy = self._split(card_height, cores_y)
         phases = optimized_kernel_phases(wx, wy, c, elem_bytes=elem_bytes,
-                                         chunk_elems=chunk)
+                                         chunk_elems=chunk, spec=spec)
         solo_iter = phases.solo_iteration_time(c)
         demand = phases.traffic_bytes / solo_iter  # bytes/s per core
 
@@ -213,16 +232,11 @@ class JacobiScalingModel:
         total = cores_y * cores_x
         per_col = self._split(total, n_cols)
 
-        # Flow network: one representative flow per column slot.  All cores
-        # are symmetric, so we solve one column's worth and broadcast.
-        capacities = {
-            "column": c.noc_column_bw,
-            "banks": c.noc_aggregate_bw / n_cols,  # fair share of the banks
-        }
-        flows = {f"core{i}": ["column", "banks"] for i in range(per_col)}
-        demands = {f: demand for f in flows}
-        rates = max_min_fair_rates(capacities, flows, demands)
-        rate = min(rates.values())
+        # The column's cores are per_col identical flows over its uplink
+        # and its fair share of the banks: max-min fairness gives each the
+        # smaller of its demand and the tighter resource's equal share.
+        rate = min(demand,
+                   min(c.noc_column_bw, c.noc_aggregate_bw / n_cols) / per_col)
         column_bound = rate < demand * (1 - 1e-9)
 
         iter_time = phases.traffic_bytes / rate if column_bound else solo_iter

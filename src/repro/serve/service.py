@@ -54,7 +54,7 @@ record), and the request's single terminal outcome is the
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
 from repro.serve.health import HealthConfig
@@ -104,6 +104,9 @@ class _Struck(NamedTuple):
     flips: Dict[int, List[DeviceMember]]  #: request index -> flip members
     hung: List[DeviceMember]          #: stalled members (no request ends)
     watchdog_s: float                 #: when the watchdog catches a hang
+    #: ``(fault kind, seconds it added)`` per NoC, ECC and core-failure
+    #: fault, in the order taken (a hang adds ``watchdog_s``)
+    fault_s: List[Tuple[str, float]]
 
 
 #: fraction of a launch elapsed when a planned core failure strikes.
@@ -384,15 +387,17 @@ class SolveService:
         self.sim.process(self._run_batch(devs, plan, base_s, batch_id),
                          name=f"serve.{worker}.batch{batch_id}")
 
-    def _consume_timed(self, dev: DeviceMember, t0: float) -> float:
-        """Fold pending NoC/ECC faults into a launch-start stretch."""
+    def _consume_timed(self, dev: DeviceMember, t0: float,
+                       fault_s: List[Tuple[str, float]]) -> float:
+        """Fold pending NoC/ECC faults into a launch-start stretch,
+        noting each one's seconds in ``fault_s``."""
         stretch = 0.0
         for kind, fault in dev.take_timed(t0):
             if kind == "noc":
                 extra = fault.delay_s if fault.kind == "delay" \
                     else self.pool_cfg.noc_drop_penalty_s
                 self.metrics.bump(f"chaos.noc.{fault.kind}")
-                self.metrics.attribute(f"noc.{fault.kind}", extra)
+                fault_s.append((f"noc.{fault.kind}", extra))
                 self.metrics.trace.record(
                     t0, f"noc.{fault.kind}", f"{dev.name}.noc{fault.noc_id}",
                     "consumed", f"stretch={extra:.6g}s")
@@ -402,7 +407,7 @@ class SolveService:
             else:
                 extra = self.pool_cfg.scrub_stall_s
                 self.metrics.bump("chaos.ecc.scrub")
-                self.metrics.attribute("dram.ecc", extra)
+                fault_s.append(("dram.ecc", extra))
                 self.metrics.trace.record(
                     t0, "dram.bitflip",
                     f"{dev.name}.bank{fault.bank_id}+0x{fault.addr:x}",
@@ -420,7 +425,9 @@ class SolveService:
         launch stalls on its sickest card.  NoC drops and core failures
         feed the breaker here; the caller reacts to a hang or a flip in
         ``finished(struck, i)``, run as request ``i``'s slice finishes
-        (none on a hung launch), and in the returned :class:`_Struck`.
+        (none on a hung launch), and in the returned :class:`_Struck`,
+        which also says how many seconds each fault added: the caller
+        charges them as fault latency only if a tenant waited on them.
         """
         t0 = self.sim.now
         index = {dev: dev.launches for dev in devs}
@@ -431,8 +438,9 @@ class SolveService:
         factor = max(d.capacity_factor() for d in devs)
         times = [t * factor for t in base_s]
         restarts = 0
+        fault_s: List[Tuple[str, float]] = []
 
-        stretch = sum(self._consume_timed(dev, t0) for dev in devs)
+        stretch = sum(self._consume_timed(dev, t0, fault_s) for dev in devs)
         if stretch:
             times = [t + stretch for t in times]
 
@@ -459,7 +467,7 @@ class SolveService:
                 restarts += 1
                 self.metrics.bump("chaos.core_failure")
                 self.metrics.bump("restarts")
-                self.metrics.attribute("core.failure", max(times) - before)
+                fault_s.append(("core.failure", max(times) - before))
                 self.metrics.trace.record(
                     t0, "core.failure",
                     f"{dev.name}.core({death.iy},{death.ix})", "injected",
@@ -481,13 +489,12 @@ class SolveService:
             for flip in dev.take_sdc(index[dev]):
                 flips.setdefault(flip.row % len(plan), []).append(dev)
         struck = _Struck(launch, restarts, flips, hung,
-                         self.pool_cfg.watchdog_factor * expected)
+                         self.pool_cfg.watchdog_factor * expected, fault_s)
         if hung:
             yield self.sim.timeout(struck.watchdog_s)
             for dev in devs:
                 dev.busy_s += struck.watchdog_s
                 dev.busy = False
-            self.metrics.attribute("hang", struck.watchdog_s)
             masked = sum(len(hits) for hits in flips.values())
             if masked:
                 self.metrics.bump("sdc.masked", by=masked)
@@ -544,7 +551,10 @@ class SolveService:
             self._retry_or_degrade(req, worker, why="sdc")
 
         struck = yield from self._run_launch(devs, plan, base_s, react)
+        for kind, seconds in struck.fault_s:
+            self.metrics.attribute(kind, seconds)
         if struck.hung:
+            self.metrics.attribute("hang", struck.watchdog_s)
             self.metrics.bump("hangs")
             self.metrics.trace.record(
                 self.sim.now, "serve.hang", struck.launch, "detected",

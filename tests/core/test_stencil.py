@@ -11,11 +11,7 @@ from repro.core.stencil import (
     C,
     E,
     N,
-    NE,
-    NW,
     S,
-    SE,
-    SW,
     W,
     StencilRunner,
     StencilSpec,
@@ -337,18 +333,37 @@ class TestOneKernelFamily:
     def test_nine_point_spec_matches_stencil9_reference(self, device_factory,
                                                         cores):
         """The op library's 9-point update as a two-group spec on the
-        row-streaming dataflow: bit-identical to its independent oracle."""
-        from repro.ops.stencil9 import (AXIAL_W, DIAG_W, Stencil9Problem,
-                                        stencil9_reference_bits)
+        row-streaming dataflow: bit-identical to its independent oracle,
+        also where two NaNs meet (the oracle keeps the device's operand
+        order)."""
+        from repro.ops.stencil9 import Stencil9Problem, stencil9_reference_bits
         prob = Stencil9Problem(nx=64, ny=16, iters=3, seed=4)
-        spec = StencilSpec(((AXIAL_W, (W, E, N, S)),
-                            (DIAG_W, (NW, NE, SW, SE))))
-        halo = prob.halo_grid_bits()
-        res = StencilRunner(device_factory(), prob.laplace(), spec,
-                            cores_y=cores[0], cores_x=cores[1]).run(
-            prob.iters, initial_grid=halo)
-        assert np.array_equal(res.grid_bits,
-                              stencil9_reference_bits(halo, prob.iters))
+        for problem, halo, iters in (
+                (prob.laplace(), prob.halo_grid_bits(), prob.iters),
+                (NAN_PAIR_PROBLEM, nan_pair_grid("bf16"), 1)):
+            res = StencilRunner(device_factory(), problem,
+                                StencilSpec.nine_point(), cores_y=cores[0],
+                                cores_x=cores[1]).run(iters,
+                                                      initial_grid=halo)
+            assert np.array_equal(res.grid_bits,
+                                  stencil9_reference_bits(halo, iters))
+
+    @pytest.mark.parametrize("spec", [
+        StencilSpec.jacobi(), StencilSpec.jacobi("dst"),
+        StencilSpec.diffusion(0.2), StencilSpec.advection_upwind(0.3, 0.2),
+        StencilSpec.nine_point()], ids=["jacobi", "jacobi_dst", "diffusion",
+                                        "advection", "nine_point"])
+    def test_tile_ops_are_what_the_des_issues(self, device_factory, spec):
+        """The count the Tier-2 model prices is the FPU ops plus packs the
+        generated compute program issues per row chunk (two chunk
+        columns, one sweep, one core), with and without an RHS field."""
+        problem = LaplaceProblem(nx=64, ny=4)
+        for rhs in (False, True)[:1 + (spec.rounding == "pack")]:
+            dev = device_factory()
+            StencilRunner(dev, problem, spec, chunk=32).run(
+                1, rhs=np.zeros((4, 64), np.uint16) if rhs else None)
+            fpu = dev.worker_grid(1, 1)[0][0].fpu
+            assert fpu.ops + fpu.packs == spec.tile_ops(rhs) * 4 * 2
 
 
 class TestRunnerAccounting:

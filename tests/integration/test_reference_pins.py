@@ -20,6 +20,10 @@ of specs with three or more taps in a group.  Those were computed after the
 ``tap + sum`` (the device's ``add_tiles(tap, work)``): where two NaNs
 meet there, the mirror before the fix returned the other NaN's sign.
 The old mirror with only that fix applied gives the same nine digests.
+``fft/random/32x32`` (marked "planes assembled") was re-pinned when the
+FFT output came to be assembled plane by plane: ``re + 1j * im`` had
+made the real part ``re + 0·im``, NaN wherever the imaginary part is
+±inf or NaN, and +0.0 for a −0.0.
 A change that moves a digest is a declared output change: it updates
 the digest here and says why.
 
@@ -38,15 +42,7 @@ import pytest
 
 from repro.core.grid import LaplaceProblem
 from repro.core.stencil import (
-    NE,
-    NW,
-    SE,
-    SW,
-    E,
-    N,
-    S,
     StencilSpec,
-    W,
     stencil_solve_bf16,
     stencil_solve_fp32,
 )
@@ -63,8 +59,7 @@ SPECS = {
     "jacobi_dst": StencilSpec.jacobi("dst"),
     "diffusion": StencilSpec.diffusion(0.2),
     "advection": StencilSpec.advection_upwind(0.3, 0.2),
-    "nine_point": StencilSpec(((0.2, (W, E, N, S)),
-                               (0.05, (NW, NE, SW, SE)))),
+    "nine_point": StencilSpec.nine_point(),
 }
 
 
@@ -152,7 +147,7 @@ def _cases():
 PINS = {
     "fft/128x128": "11bdc5d90f26f87e",
     "fft/32x32": "27b33a7112c8de24",
-    "fft/random/32x32": "7a377aa75c0ba23e",
+    "fft/random/32x32": "fb8c8150d986bfe5",  # planes assembled
     "fft/random/8x32": "25d0f7d730ab7231",
     "jacobi/128x128/32": "b81d594f56202fcb",
     "jacobi/128x32/32": "8f58d95c31c18c3e",

@@ -56,12 +56,11 @@ class TestTraceability:
 def _stencil_program(case: str):
     """The Jacobi launch, or a generic spec with or without an RHS."""
     from repro.core.jacobi_optimized import OptimizedJacobiRunner
-    from repro.core.stencil import E, N, NE, NW, S, SE, SW, StencilRunner, W
+    from repro.core.stencil import StencilRunner
     p = LaplaceProblem(nx=64, ny=16)
     dev = GrayskullDevice(dram_bank_capacity=1 << 20)
     specs = {"advection": StencilSpec.advection_upwind(0.3, 0.2),
-             "nine_point": StencilSpec(((0.2, (W, E, N, S)),
-                                        (0.05, (NW, NE, SW, SE))))}
+             "nine_point": StencilSpec.nine_point()}
     name, _, rhs = case.partition("+")
     runner = OptimizedJacobiRunner(dev, p) if name == "jacobi" \
         else StencilRunner(dev, p, specs[name])

@@ -80,6 +80,15 @@ class TestReference:
         y = fft_reference_bits(x)
         np.testing.assert_array_equal(y, np.ones((8, 1), np.complex64))
 
+    def test_real_plane_survives_an_infinite_imaginary_part(self):
+        """The output is assembled plane by plane: ``re + 1j * im`` would
+        make each real output ``re + 0·inf``, a NaN."""
+        x = np.empty((2, 1), np.complex64)
+        x.real[:, 0], x.imag[:, 0] = (1.0, 2.0), (np.inf, 0.0)
+        y = fft_reference_bits(x)
+        assert y.real[:, 0].tolist() == [3.0, -1.0]
+        assert y.imag[:, 0].tolist() == [np.inf, np.inf]
+
 
 class TestDevice:
     def test_single_core_mirror_bit_exact(self):

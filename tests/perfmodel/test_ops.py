@@ -7,7 +7,7 @@ from repro.perfmodel.ops import (
     OpEstimate,
     fft_estimate,
     matmul_estimate,
-    stencil9_estimate,
+    stencil_estimate,
 )
 
 
@@ -15,7 +15,7 @@ class TestEstimateShape:
     @pytest.mark.parametrize("fn,problem", [
         (matmul_estimate, MatmulProblem(m=64, k=64, n=64)),
         (fft_estimate, FftProblem(n=64, batch=16)),
-        (stencil9_estimate, Stencil9Problem(nx=64, ny=64)),
+        (stencil_estimate, Stencil9Problem(nx=64, ny=64)),
     ])
     def test_fields_are_consistent(self, fn, problem):
         est = fn(problem, (1, 1))
@@ -50,23 +50,23 @@ class TestScaling:
         assert t_big > t_small
 
     def test_stencil_iters_scale_time(self):
-        t1 = stencil9_estimate(Stencil9Problem(nx=64, ny=64, iters=1),
-                               (1, 1)).time_s
-        t4 = stencil9_estimate(Stencil9Problem(nx=64, ny=64, iters=4),
-                               (1, 1)).time_s
+        t1 = stencil_estimate(Stencil9Problem(nx=64, ny=64, iters=1),
+                              (1, 1)).time_s
+        t4 = stencil_estimate(Stencil9Problem(nx=64, ny=64, iters=4),
+                              (1, 1)).time_s
         assert t4 > 2 * t1
 
     def test_power_grows_with_core_count(self):
         p = Stencil9Problem(nx=64, ny=64)
-        assert stencil9_estimate(p, (2, 2)).power_w > \
-            stencil9_estimate(p, (1, 1)).power_w
+        assert stencil_estimate(p, (2, 2)).power_w > \
+            stencil_estimate(p, (1, 1)).power_w
 
 
 class TestDispatch:
     @pytest.mark.parametrize("op,estimator", [
         ("matmul", matmul_estimate),
         ("fft", fft_estimate),
-        ("stencil9", stencil9_estimate),
+        ("stencil9", stencil_estimate),
     ])
     def test_spec_estimate_is_the_perfmodel_estimator(self, op, estimator):
         assert get_op(op).estimate is estimator
@@ -90,3 +90,24 @@ class TestModelTracksSimulator:
         assert 0.25 < ratio < 4.0, (
             f"{op}: DES {res.kernel_time_s:.3g}s vs model "
             f"{est.time_s:.3g}s (ratio {ratio:.2f})")
+
+
+class TestStencil9TracksSimulator:
+    """stencil9 runs on the stencil family and its estimate is that
+    family's closed form, so its DES/model ratio is pinned per shape
+    within ±5%, as ``benchmarks/test_fidelity_tiers.py`` pins Jacobi's
+    at paper scale.  The DES runs 15–23% over the model on these small
+    grids, as Listing 2's Jacobi does (1.23 at 256² on one core)."""
+
+    RATIOS = {
+        (64, (1, 1)): 1.175, (64, (2, 2)): 1.194, (64, (4, 4)): 1.230,
+        (256, (1, 1)): 1.146, (256, (2, 2)): 1.162, (256, (4, 4)): 1.176,
+    }
+
+    @pytest.mark.parametrize("size,cores", sorted(RATIOS))
+    def test_ratio_pinned(self, size, cores):
+        spec = get_op("stencil9")
+        problem = Stencil9Problem(nx=size, ny=size, iters=2)
+        des = spec.run(problem, cores=cores).kernel_time_s
+        ratio = des / spec.estimate(problem, cores).time_s
+        assert ratio == pytest.approx(self.RATIOS[size, cores], rel=0.05)

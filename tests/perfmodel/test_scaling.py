@@ -1,5 +1,9 @@
 """Tier-2 scaling model tests: Table VIII fidelity + DES cross-validation."""
 
+import dataclasses
+import hashlib
+import itertools
+
 import pytest
 
 from repro.core.grid import LaplaceProblem
@@ -161,3 +165,47 @@ class TestDesCrossValidation:
         m4 = JacobiScalingModel().run(64, 64, 10, 2, 2)
         assert (des4.kernel_time_s < des1.kernel_time_s) == (
             m4.solve_time_s < m1.solve_time_s)
+
+
+#: ``(width, height)`` domains of the model pin: tiny, ragged, Table VIII
+#: and strip shapes
+PIN_DOMAINS = ((64, 64), (1000, 333), (1024, 64), (4096, 512),
+               (9216, 1024), (30000, 96))
+#: core grids of the model pin (those that exceed a card are skipped)
+PIN_GRIDS = ((1, 1), (1, 2), (2, 2), (1, 4), (2, 4), (4, 4), (3, 5),
+             (8, 4), (8, 8), (8, 9), (12, 9), (9, 12))
+
+
+def model_pin_rows():
+    """Every ``MulticoreResult`` of the pin grid, in a fixed order."""
+    from repro.perfmodel.wormhole import WORMHOLE_COSTS
+    for costs in (DEFAULT_COSTS, WORMHOLE_COSTS):
+        model = JacobiScalingModel(costs)
+        for (width, height), (cy, cx), cards, dtype, iters in (
+                itertools.product(PIN_DOMAINS, PIN_GRIDS, (1, 2, 4),
+                                  ("bf16", "fp32"), (1, 5000))):
+            if cy * cx <= costs.n_worker_cores:
+                yield model.run(width, height, iters, cy, cx, n_cards=cards,
+                                dtype=dtype)
+
+
+class TestModelPin:
+    """Every field of ``JacobiScalingModel.run`` over a fixed grid of
+    domains, core grids, card counts, dtypes and both cost models,
+    pinned as ``float.hex`` across commits: a refactor of the closed
+    form must keep every bit.  A change that moves the digest is a
+    declared timing change."""
+
+    DIGEST = "4a29888699022d4a"
+
+    def test_every_field_is_pinned(self):
+        h = hashlib.sha256()
+        rows = list(model_pin_rows())
+        for res in rows:
+            for f in dataclasses.fields(res):
+                v = getattr(res, f.name)
+                v = v.hex() if isinstance(v, float) else repr(v)
+                h.update(f"{f.name}={v};".encode())
+        bound = sum(r.column_bound for r in rows)
+        assert 0 < bound < len(rows)    # both contention branches covered
+        assert h.hexdigest()[:16] == self.DIGEST

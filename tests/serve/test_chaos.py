@@ -276,6 +276,17 @@ class TestCanaryFaults:
         # one fault for the hung launch 0, one for the struck canary
         assert svc.pool.devices[0].health.total_faults == 2
 
+    @pytest.mark.parametrize("fault", [
+        dict(core_failures=(DEATH,)),
+        dict(hangs=(ServeHang(0, 0), ServeHang(0, 1)))],
+        ids=["core_failure", "hang"])
+    def test_struck_canary_adds_no_fault_latency(self, fault):
+        """No tenant waits on a canary, so what strikes it is no fault
+        latency: only tenant launch 0's hang is, as with a clean probe."""
+        clean = self._run().metrics.fault_s
+        assert set(clean) == {"hang", "retry_backoff"}
+        assert self._run(**fault).metrics.fault_s == clean
+
     def test_canary_core_failure_spares_tenant_rid0(self):
         svc = self._run(core_failures=(self.DEATH,))
         (tenant,) = [o for o in svc.outcomes if o.request.rid == 0]

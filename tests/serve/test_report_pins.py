@@ -36,7 +36,8 @@ def test_closed_loop_chaos_report_is_pinned():
         "chaos.core_failure": 2, "sdc.detected": 4, "hangs": 1,
         "chaos.noc.delay": 3, "chaos.noc.drop": 1, "chaos.ecc.scrub": 4,
         "canary.failed": 1, "batches.multi": 3, "retries": 5}
-    assert digest(report) == "5732e7356b2d5d14"
+    # moved when a canary's faults stopped counting as fault latency
+    assert digest(report) == "5988490454935218"
 
 
 def test_open_loop_hang_report_is_pinned():
@@ -60,4 +61,5 @@ def test_mixed_workload_chaos_report_is_pinned():
     assert {key.split(":")[0] for key in report.solves} >= set(kinds[1:])
     assert covered(report, ["degraded", "shed", "retries"]) == {
         "degraded": 3, "shed": 8, "retries": 6}
-    assert digest(report) == "0a8460e6c672d186"
+    # moved when stencil9 came to be priced by the stencil family's model
+    assert digest(report) == "8ce6bc021f9f42f0"
