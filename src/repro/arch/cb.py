@@ -62,6 +62,9 @@ class CircularBuffer:
         self.n_pages = n_pages
         self.dtype = dtype
         self.elem_bytes = self.DTYPES[dtype]
+        # the one page view, bound once: words of the element width
+        self._view = sram.view_u32 if dtype == "fp32" else sram.view_u16
+        self._page_words = page_size // self.elem_bytes
         self.name = name or f"cb{cb_id}"
         self.base = sram.allocate(page_size * n_pages, align=32,
                                   label=self.name)
@@ -149,44 +152,20 @@ class CircularBuffer:
             raise CBError(f"{self.name}: get_write_ptr without reserved pages")
         return self._slot_addr(self._pushed)
 
-    def _view_bits(self, addr: int) -> np.ndarray:
-        if self.dtype == "fp32":
-            return self.sram.view_u32(addr, self.page_size // 4)
-        return self.sram.view_u16(addr, self.page_size // 2)
-
     def back_view_bits(self, page_offset: int = 0) -> np.ndarray:
-        """Producer view of a back page in the CB's element width."""
-        if self._wr_alias is not None:
-            return self._view_bits(self._wr_alias
-                                   + page_offset * self.page_size)
-        if self._pushed + page_offset >= self._reserved:
-            raise CBError(f"{self.name}: back page {page_offset} not reserved")
-        return self._view_bits(self._slot_addr(self._pushed + page_offset))
-
-    def front_view_bits(self, page_offset: int = 0) -> np.ndarray:
-        """Consumer view of a committed page (honours the rd alias)."""
-        if self._rd_alias is not None:
-            return self._view_bits(self._rd_alias
-                                   + page_offset * self.page_size)
-        if page_offset >= self.pages_committed:
-            raise CBError(
-                f"{self.name}: front page {page_offset} beyond committed "
-                f"{self.pages_committed}")
-        return self._view_bits(self._slot_addr(self._popped + page_offset))
-
-    def back_view_u16(self, page_offset: int = 0) -> np.ndarray:
-        """16-bit view of a reserved-but-unpushed page (producer fill).
+        """Producer view of a reserved-but-unpushed page, in the CB's
+        element width.
 
         With a write-pointer alias installed, the view targets the alias
         instead (no reservation needed — the pages are not used).
         """
         if self._wr_alias is not None:
-            addr = self._wr_alias + page_offset * self.page_size
-            return self.sram.view_u16(addr, self.page_size // 2)
+            return self._view(self._wr_alias + page_offset * self.page_size,
+                              self._page_words)
         if self._pushed + page_offset >= self._reserved:
             raise CBError(f"{self.name}: back page {page_offset} not reserved")
-        addr = self._slot_addr(self._pushed + page_offset)
-        return self.sram.view_u16(addr, self.page_size // 2)
+        return self._view(self._slot_addr(self._pushed + page_offset),
+                          self._page_words)
 
     def set_wr_ptr(self, l1_addr: int) -> None:
         """Alias the producer write pointer to ``l1_addr`` (extension).
@@ -235,17 +214,18 @@ class CircularBuffer:
             raise CBError(f"{self.name}: get_read_ptr with no committed pages")
         return self._slot_addr(self._popped)
 
-    def front_view_u16(self, page_offset: int = 0) -> np.ndarray:
-        """16-bit view of committed page ``page_offset`` (or the alias)."""
+    def front_view_bits(self, page_offset: int = 0) -> np.ndarray:
+        """Consumer view of committed page ``page_offset`` (or the rd
+        alias), in the CB's element width."""
         if self._rd_alias is not None:
-            addr = self._rd_alias + page_offset * self.page_size
-            return self.sram.view_u16(addr, self.page_size // 2)
+            return self._view(self._rd_alias + page_offset * self.page_size,
+                              self._page_words)
         if page_offset >= self.pages_committed:
             raise CBError(
                 f"{self.name}: front page {page_offset} beyond committed "
                 f"{self.pages_committed}")
-        addr = self._slot_addr(self._popped + page_offset)
-        return self.sram.view_u16(addr, self.page_size // 2)
+        return self._view(self._slot_addr(self._popped + page_offset),
+                          self._page_words)
 
     def set_rd_ptr(self, l1_addr: int) -> None:
         """``cb_set_rd_ptr``: alias the consumer read pointer to ``l1_addr``.

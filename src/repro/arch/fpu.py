@@ -89,9 +89,10 @@ class Fpu:
                 f"{TILE_ELEMS * 2} B, got {cb.page_size}")
         # Callers write into the returned tile, so it must never alias L1:
         # the FP32 view needs its copy; ``bits_to_f32`` allocates anyway.
+        page = cb.front_view_bits(tile_index)
         if cb.dtype == "fp32":
-            return cb.front_view_bits(tile_index).copy().view(np.float32)
-        return bits_to_f32(cb.front_view_u16(tile_index))
+            return page.copy().view(np.float32)
+        return bits_to_f32(page)
 
     def _binary(self, cb_a: CircularBuffer, cb_b: CircularBuffer,
                 ia: int, ib: int, dst: int, op: Callable) -> None:
@@ -236,12 +237,11 @@ class Fpu:
         self._check_dst(dst)
         if self._dst[dst] is None:
             raise FpuError(f"pack of empty dst register {dst}")
+        out = cb_out.back_view_bits(page_offset)
         if cb_out.dtype == "fp32":
-            out = cb_out.back_view_bits(page_offset)
             bits = np.ascontiguousarray(
                 self._dst[dst], dtype=np.float32).ravel().view(np.uint32)
         else:
-            out = cb_out.back_view_u16(page_offset)
             bits = f32_to_bits(self._dst[dst]).ravel()
         if out.size != bits.size:
             raise FpuError(

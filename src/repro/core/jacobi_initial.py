@@ -220,7 +220,7 @@ def _reader_kernel(ctx):
     # by a data mover core on program initialisation").
     yield from ctx.cb_reserve_back(CB_SCALAR, 1)
     quarter = np.full(TILE_DIM * TILE_DIM, f32_to_bits(0.25), dtype=np.uint16)
-    yield from ctx.l1_store_u16(ctx.cb_write_ptr(CB_SCALAR), quarter)
+    yield from ctx.l1_store(ctx.cb_write_ptr(CB_SCALAR), quarter)
     yield from ctx.cb_push_back(CB_SCALAR, 1)
 
     # Local neighbourhood buffers (double buffering uses two).

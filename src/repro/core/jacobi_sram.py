@@ -100,7 +100,7 @@ def _reader_kernel(ctx):
     # 0.25 constant
     yield from ctx.cb_reserve_back(CB_SCALAR, 1)
     page_elems = ctx.core.cbs[CB_SCALAR].page_size // 2
-    yield from ctx.l1_store_u16(
+    yield from ctx.l1_store(
         ctx.cb_write_ptr(CB_SCALAR),
         np.full(page_elems, f32_to_bits(0.25), dtype=np.uint16))
     yield from ctx.cb_push_back(CB_SCALAR, 1)

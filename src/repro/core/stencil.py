@@ -96,6 +96,11 @@ N_SLOTS = 4
 #: which is exactly the slot-reuse safety margin of the 4-deep buffer.
 IN_PAGES = 2
 _N_CBS = 32
+#: under ``"dst"`` rounding, switching the FPU from the accumulate
+#: configuration to the scale pass re-programs the unpacker and math
+#: threads once per group: this many op-times of dead pipeline, which is
+#: what made the variant a net loss on silicon.
+DST_RECONFIG_OPS = 6
 
 
 def _bf16(value: float) -> float:
@@ -205,12 +210,20 @@ class StencilSpec:
         ``"pack"``: a group of n taps is n ops (n − 1 adds and its
         scale), each later group and the RHS add one more, and every op
         packs once.  ``"dst"``: a copy, n − 1 accumulates and the output
-        pack (its FPU reconfiguration stall is not a tile op).
+        pack (its FPU reconfiguration stall is not a tile op; see
+        :meth:`fpu_op_times`).
         """
         n_taps = sum(len(taps) for _s, taps in self.groups)
         if self.rounding == "dst":
             return n_taps + 1
         return 2 * (n_taps + len(self.groups) - 1 + rhs)
+
+    def fpu_op_times(self) -> int:
+        """FPU occupancy per row chunk, in op-times: :meth:`tile_ops`
+        plus, under ``"dst"``, :data:`DST_RECONFIG_OPS` per group."""
+        stall = DST_RECONFIG_OPS * len(self.groups) \
+            if self.rounding == "dst" else 0
+        return self.tile_ops() + stall
 
     def weight(self, tap: Tap) -> float:
         """The coefficient of ``tap`` in the exact update."""
@@ -421,15 +434,12 @@ def _kernels(spec: StencilSpec, rhs: bool) -> _Kernels:
         # one constant CB per group, filled once with its scale
         for cb, scale in scalars:
             yield from ctx.cb_reserve_back(cb, 1)
-            page_elems = ctx.core.cbs[cb].page_size // eb
-            if eb == 4:
-                vals = np.full(page_elems, np.float32(scale).view(np.uint32),
-                               dtype=np.uint32)
-                yield from ctx.l1_store_u32(ctx.cb_write_ptr(cb), vals)
-            else:
-                vals = np.full(page_elems, f32_to_bits(np.float32(scale)),
-                               dtype=np.uint16)
-                yield from ctx.l1_store_u16(ctx.cb_write_ptr(cb), vals)
+            word = (np.float32(scale).view(np.uint32) if eb == 4
+                    else f32_to_bits(np.float32(scale)))
+            yield from ctx.l1_store(
+                ctx.cb_write_ptr(cb),
+                np.full(ctx.core.cbs[cb].page_size // eb, word,
+                        dtype=layout.bits_dtype))
             yield from ctx.cb_push_back(cb, 1)
 
         cols = _chunk_columns(sub, chunk)
@@ -534,8 +544,8 @@ def _kernels(spec: StencilSpec, rhs: bool) -> _Kernels:
                     rows = (base + (r % N_SLOTS) * sb,
                             base + ((r + 1) % N_SLOTS) * sb,
                             base + ((r + 2) % N_SLOTS) * sb)
-                    yield from ctx.cb_set_rd_ptrs(
-                        *[(cb, rows[k] + off * eb) for cb, k, off in aliases])
+                    for cb, k, off in aliases:
+                        yield from ctx.cb_set_rd_ptr(cb, rows[k] + off * eb)
 
                     if dst:
                         # The rejected ablation (Section IV): accumulate in
@@ -545,12 +555,8 @@ def _kernels(spec: StencilSpec, rhs: bool) -> _Kernels:
                             yield from ctx.copy_tile(cbs[0], 0, dst0)
                             for cb in cbs[1:]:
                                 yield from ctx.add_tile_to_dst(cb, 0, dst0)
-                            # Switching the FPU from the accumulate
-                            # configuration to the scale pass re-programs
-                            # unpacker and math threads — ~6 op-times of
-                            # dead pipeline, which is what made this
-                            # variant a net loss on silicon.
-                            yield from ctx._elapse(6 * ctx.costs.fpu_op)
+                            yield from ctx._elapse(
+                                DST_RECONFIG_OPS * ctx.costs.fpu_op)
                             ctx.fpu._dst[dst0] = (ctx.fpu._dst[dst0]
                                                   * np.float32(scale)
                                                   ).astype(np.float32)

@@ -21,7 +21,6 @@ from repro.dtypes.tiles import (
     TILE_DIM,
     TILE_ELEMS,
     TILE_NBYTES,
-    Tile,
     domain_to_tiles,
     tiles_to_domain,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "TILE_DIM",
     "TILE_ELEMS",
     "TILE_NBYTES",
-    "Tile",
     "bf16_add",
     "bf16_mul",
     "bf16_round",

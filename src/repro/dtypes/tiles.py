@@ -13,8 +13,6 @@ our tiles are row-major 32×32 — the programmer-visible abstraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.dtypes.bf16 import BF16_BYTES
@@ -23,7 +21,6 @@ __all__ = [
     "TILE_DIM",
     "TILE_ELEMS",
     "TILE_NBYTES",
-    "Tile",
     "domain_to_tiles",
     "tiles_to_domain",
 ]
@@ -34,52 +31,6 @@ TILE_DIM = 32
 TILE_ELEMS = TILE_DIM * TILE_DIM
 #: Bytes per BF16 tile.
 TILE_NBYTES = TILE_ELEMS * BF16_BYTES
-
-
-@dataclass(frozen=True)
-class Tile:
-    """A 32×32 block of BF16 bit patterns.
-
-    ``data`` is a ``(32, 32) uint16`` array.  Tiles are immutable value
-    objects; FPU operations produce new tiles.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = self.data
-        if d.shape != (TILE_DIM, TILE_DIM) or d.dtype != np.uint16:
-            raise ValueError(
-                f"tile must be ({TILE_DIM},{TILE_DIM}) uint16, "
-                f"got {d.shape} {d.dtype}")
-
-    @classmethod
-    def from_bits(cls, flat: np.ndarray) -> "Tile":
-        """Build a tile from 1024 flat BF16 bit patterns (row-major)."""
-        flat = np.asarray(flat, dtype=np.uint16)
-        if flat.size != TILE_ELEMS:
-            raise ValueError(f"expected {TILE_ELEMS} elements, got {flat.size}")
-        return cls(flat.reshape(TILE_DIM, TILE_DIM).copy())
-
-    @classmethod
-    def filled(cls, bits: int) -> "Tile":
-        """A tile with every element set to the same BF16 bit pattern."""
-        return cls(np.full((TILE_DIM, TILE_DIM), bits, dtype=np.uint16))
-
-    def to_bytes(self) -> bytes:
-        """Row-major little-endian byte payload (2048 bytes)."""
-        return self.data.astype("<u2").tobytes()
-
-    @classmethod
-    def from_bytes(cls, payload: bytes | np.ndarray) -> "Tile":
-        arr = np.frombuffer(bytes(payload), dtype="<u2")
-        return cls.from_bits(arr)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tile) and np.array_equal(self.data, other.data)
-
-    def __hash__(self) -> int:  # value object; cheap digest
-        return hash(self.data.tobytes())
 
 
 def domain_to_tiles(domain_bits: np.ndarray) -> np.ndarray:
@@ -108,49 +59,4 @@ def tiles_to_domain(tiles: np.ndarray) -> np.ndarray:
     ny, nx = t.shape[:2]
     return (t.transpose(0, 2, 1, 3)
              .reshape(ny * TILE_DIM, nx * TILE_DIM)
-             .copy())
-
-
-# --------------------------------------------------------------------------
-# tt-metal tilized memory format (16x16 faces)
-# --------------------------------------------------------------------------
-
-#: Real silicon splits each 32x32 tile into four 16x16 faces.
-FACE_DIM = 16
-
-
-def tilize(matrix: np.ndarray) -> np.ndarray:
-    """Convert a row-major matrix to tt-metal's tilized DRAM format.
-
-    Output layout: tiles in row-major tile order; within each tile the
-    four 16x16 faces in order [top-left, top-right, bottom-left,
-    bottom-right], each face row-major — the format real tt-metal host
-    code produces with ``tilize_nchw`` before ``EnqueueWriteBuffer``.
-
-    Our simulator's unpacker hides this layout (the paper's kernels never
-    observe it); the converters exist so payloads can round-trip with
-    real tt-metal tools and dumps.
-    """
-    m = np.asarray(matrix, dtype=np.uint16)
-    h, w = m.shape
-    if h % TILE_DIM or w % TILE_DIM:
-        raise ValueError(f"matrix {h}x{w} must be a multiple of {TILE_DIM}")
-    # (tile_y, face_y, row, tile_x, face_x, col) -> flat
-    v = m.reshape(h // TILE_DIM, 2, FACE_DIM, w // TILE_DIM, 2, FACE_DIM)
-    return v.transpose(0, 3, 1, 4, 2, 5).reshape(-1).copy()
-
-
-def untilize(flat: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Inverse of :func:`tilize`: tilized payload → row-major matrix."""
-    f = np.asarray(flat, dtype=np.uint16).reshape(-1)
-    if height % TILE_DIM or width % TILE_DIM:
-        raise ValueError(
-            f"dimensions {height}x{width} must be multiples of {TILE_DIM}")
-    if f.size != height * width:
-        raise ValueError(
-            f"payload has {f.size} elements, expected {height * width}")
-    v = f.reshape(height // TILE_DIM, width // TILE_DIM, 2, 2,
-                  FACE_DIM, FACE_DIM)
-    return (v.transpose(0, 2, 4, 1, 3, 5)
-             .reshape(height, width)
              .copy())

@@ -38,8 +38,8 @@ Every finding carries a :class:`repro.lint.witness.Witness` — a
 concrete minimal interleaving the DES can replay (``repro lint
 --witness``) to confirm the hazard dynamically.  Byte intervals come
 from :func:`repro.lint.api.footprint`, the map the replay also uses.  Race witnesses are
-only emitted at *prefix-exact* trace positions (no loop, branch,
-opaque region or desugared call earlier in program order), so the
+only emitted at *prefix-exact* trace positions (no loop, branch or
+opaque region earlier in program order), so the
 symbolic call index equals the runtime API-call count and the replay
 governor can stop the kernel at exactly the witnessed call.
 
@@ -68,10 +68,6 @@ _MAX_EVENTS = 40_000
 _MAX_ABSTRACT_STEPS = 10_000
 #: longest schedule prefix serialized into a hang witness
 _MAX_WITNESS_STEPS = 64
-
-#: ops the symbolic tracer desugars (one runtime call, several trace
-#: calls) — they break the index alignment witnesses depend on
-_DESUGARED_OPS = frozenset({"cb_set_rd_ptr", "cb_set_rd_ptrs"})
 
 _KINDS = {
     "noc_async_write_barrier": "wbar",
@@ -125,9 +121,6 @@ def _skeleton(trace) -> _Skeleton:
     def walk(nodes, guarded: bool, looped: bool) -> None:
         for node in nodes:
             if isinstance(node, Call):
-                if node.name in _DESUGARED_OPS:
-                    state["exact"] = False
-                    state["static"] = False
                 if node.star:
                     state["static"] = False
                 index = None

@@ -652,12 +652,6 @@ class _Extractor:
         # direct ctx API call: ``yield from ctx.cb_push_back(...)``
         if isinstance(func, ast.Attribute) \
                 and self._eval(func.value, frame) is CTX:
-            if func.attr == "cb_set_rd_ptrs":
-                # Batched pointer install: desugar to one cb_set_rd_ptr
-                # Call per (cb_id, addr) pair so the K1xx alias rules see
-                # exactly the unbatched protocol.
-                self._desugar_set_rd_ptrs(call, frame, nodes)
-                return
             nodes.append(self._api_call(func.attr, call, frame))
             return
         # helper generator: nested def or module-level function
@@ -666,63 +660,6 @@ class _Extractor:
         if not inlined:
             self._eval_call_operands(call, frame)
             nodes.append(Opaque(self._line(node, frame)))
-
-    def _desugar_set_rd_ptrs(self, call, frame, nodes) -> None:
-        self._tick()
-        lineno = self._line(call, frame)
-        for a in call.args:
-            pairs = self._const_comprehension(a, frame) \
-                if isinstance(a, ast.Starred) else None
-            if pairs is not None:
-                for args in pairs:
-                    nodes.append(Call(
-                        name="cb_set_rd_ptr",
-                        operands=_bind("cb_set_rd_ptr", args, {}, False),
-                        lineno=lineno, filename=frame.filename))
-            elif isinstance(a, ast.Starred):
-                self._eval(a.value, frame)
-                nodes.append(Call(name="cb_set_rd_ptr", operands={},
-                                  lineno=lineno, filename=frame.filename,
-                                  star=True))
-            elif isinstance(a, ast.Tuple) and len(a.elts) == 2:
-                args = [self._eval(e, frame) for e in a.elts]
-                nodes.append(Call(
-                    name="cb_set_rd_ptr",
-                    operands=_bind("cb_set_rd_ptr", args, {}, False),
-                    lineno=lineno, filename=frame.filename))
-            else:
-                self._eval(a, frame)
-                nodes.append(Call(name="cb_set_rd_ptr", operands={},
-                                  lineno=lineno, filename=frame.filename,
-                                  star=True))
-        for kw in call.keywords:
-            self._eval(kw.value, frame)
-
-    def _const_comprehension(self, starred, frame):
-        """Operand pairs of ``*[(a, b) for x in CONST]``, else None.
-
-        A single-``for`` comprehension over a constant tuple expands to
-        one ``(a, b)`` pair per element, evaluated in a child scope so
-        the loop target does not leak into the kernel's variables.
-        """
-        comp = starred.value
-        if not isinstance(comp, (ast.ListComp, ast.GeneratorExp)) \
-                or len(comp.generators) != 1 \
-                or not isinstance(comp.elt, ast.Tuple) \
-                or len(comp.elt.elts) != 2:
-            return None
-        gen = comp.generators[0]
-        seq = const_value(self._eval(gen.iter, frame))
-        if gen.ifs or gen.is_async or not isinstance(seq, tuple) \
-                or len(seq) > _MAX_UNROLL:
-            return None
-        inner = _Frame(_Scope(frame.scope.globals, {}, parent=frame.scope),
-                       frame.offset, frame.filename)
-        pairs = []
-        for value in seq:
-            self._bind_value(gen.target, Const(value), inner)
-            pairs.append([self._eval(e, inner) for e in comp.elt.elts])
-        return pairs
 
     def _api_call(self, name, call, frame) -> Call:
         self._tick()

@@ -203,7 +203,8 @@ def _fft_compute(ctx):
     yield from ctx.tile_regs_acquire()
 
     def binop(op, a, b, out):
-        yield from ctx.cb_set_rd_ptrs((CB_A, a), (CB_B, b))
+        yield from ctx.cb_set_rd_ptr(CB_A, a)
+        yield from ctx.cb_set_rd_ptr(CB_B, b)
         yield from op(CB_A, CB_B, 0, 0, 0)
         yield from ctx.cb_set_wr_ptr(CB_O, out)
         yield from ctx.pack_tile(0, CB_O)

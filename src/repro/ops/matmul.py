@@ -37,7 +37,7 @@ from repro.arch.sram import SramExhausted
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
 from repro.core.decomposition import split_domain
 from repro.dtypes.bf16 import BF16_BYTES, bits_to_f32, f32_to_bits
-from repro.dtypes.tiles import TILE_DIM
+from repro.dtypes.tiles import TILE_DIM, domain_to_tiles, tiles_to_domain
 from repro.ops.registry import (
     OpCheckError,
     OpRunResult,
@@ -64,8 +64,6 @@ __all__ = [
     "matmul_reference_bits",
     "run_matmul",
     "random_bf16_bits",
-    "tilize",
-    "untilize",
 ]
 
 CB_A, CB_B = 0, 1
@@ -128,22 +126,6 @@ def _pad_to_tiles(bits: np.ndarray) -> np.ndarray:
     out = np.zeros((rp, cp), dtype=np.uint16)
     out[:r, :c] = bits
     return out
-
-
-def tilize(bits: np.ndarray) -> np.ndarray:
-    """Row-major tile stream: tile ``(it, jt)`` is page ``it*Ct + jt``."""
-    bits = _pad_to_tiles(np.asarray(bits, dtype=np.uint16))
-    r, c = bits.shape
-    t = bits.reshape(r // TILE_DIM, TILE_DIM, c // TILE_DIM, TILE_DIM)
-    return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(-1)
-
-
-def untilize(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`tilize` for a padded ``rows x cols`` image."""
-    rt, ct = rows // TILE_DIM, cols // TILE_DIM
-    t = np.asarray(flat, dtype=np.uint16).reshape(
-        rt, ct, TILE_DIM, TILE_DIM)
-    return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(rows, cols)
 
 
 # -- host reference ----------------------------------------------------------
@@ -265,8 +247,11 @@ def run_matmul(problem: MatmulProblem, cores: Tuple[int, int] = (1, 1),
                           page_size=TILE_BYTES)
     c_buf = create_buffer(dev, mt * nt * TILE_BYTES, interleaved=True,
                           page_size=TILE_BYTES)
-    t_in = EnqueueWriteBuffer(dev, a_buf, tilize(a_bits))
-    t_in += EnqueueWriteBuffer(dev, b_buf, tilize(b_bits))
+    # tile (it, jt) of an operand is page it*Ct + jt
+    t_in = EnqueueWriteBuffer(dev, a_buf,
+                              domain_to_tiles(_pad_to_tiles(a_bits)))
+    t_in += EnqueueWriteBuffer(dev, b_buf,
+                               domain_to_tiles(_pad_to_tiles(b_bits)))
 
     grid = dev.worker_grid(cy, cx)
     shares = split_domain(nx=nt, ny=mt, cores_y=cy, cores_x=cx)
@@ -310,8 +295,8 @@ def run_matmul(problem: MatmulProblem, cores: Tuple[int, int] = (1, 1),
     t0 = dev.sim.now
     raw = EnqueueReadBuffer(dev, c_buf)
     t_out = dev.sim.now - t0
-    c_bits = untilize(raw.view("<u2"), mt * TILE_DIM, nt * TILE_DIM)[
-        :problem.m, :problem.n]
+    c_bits = tiles_to_domain(raw.view("<u2").reshape(
+        mt, nt, TILE_DIM, TILE_DIM))[:problem.m, :problem.n]
 
     detail = "unchecked"
     if check:

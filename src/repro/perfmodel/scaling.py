@@ -11,8 +11,10 @@ by default):
    3-stage pipeline, so the solo iteration time is
    ``max(stages) + overlap_loss · (sum(stages) − max(stages))`` — the
    second term is the CB-stall imperfection calibrated against the paper's
-   1.06 GPt/s single-core measurement.  The compute stage issues the
-   spec's :meth:`~repro.core.stencil.StencilSpec.tile_ops` per chunk.
+   1.06 GPt/s single-core measurement.  The compute stage occupies the
+   FPU for the spec's :meth:`~repro.core.stencil.StencilSpec.fpu_op_times`
+   per chunk: its tile ops, plus ``"dst"`` rounding's reconfiguration
+   stall.
 2. **Contention.**  Each core's DRAM traffic is one of ``per_col``
    identical flows over its shared physical grid-column uplink and the
    column's fair share of the DRAM banks, so demand-bounded max-min
@@ -117,7 +119,7 @@ def optimized_kernel_phases(width: int, height: int,
     FP32 (4 B, 512-element tiles — the same 16384-bit FPU width).
     """
     chunks = chunk_widths(width, chunk_elems)
-    tile_ops = (spec or _listing2()).tile_ops()
+    op_times = (spec or _listing2()).fpu_op_times()
     read_t = compute_t = write_t = 0.0
     read_b = write_b = 0
     for w in chunks:
@@ -129,7 +131,7 @@ def optimized_kernel_phases(width: int, height: int,
         # still runs full FPU passes.
         n_tiles = max(1, math.ceil(w / chunk_elems))
         compute_t += costs.core_loop_batch \
-            + tile_ops * costs.fpu_op * n_tiles
+            + op_times * costs.fpu_op * n_tiles
         write_t += costs.core_loop_batch + costs.write_request_time(
             wb, contiguous=True, interleaved=True)
         read_b += rb

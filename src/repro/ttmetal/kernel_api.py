@@ -93,14 +93,6 @@ class _CtxBase:
                 f"{name!r} (have {sorted(self.args)})")
         return default
 
-    @property
-    def my_x(self) -> int:
-        return self.core.x
-
-    @property
-    def my_y(self) -> int:
-        return self.core.y
-
     def _hang_check(self):
         """Strand the kernel if a hang was injected on this slot (generator).
 
@@ -178,35 +170,6 @@ class _CtxBase:
             if self._tracer is not None:
                 self._tracer.record(core.coord, slot, "busy", t0, sim.now)
 
-    def _elapse_steps(self, seconds: float, steps: int):
-        """Charge ``steps`` back-to-back ops of ``seconds`` each (generator).
-
-        One simulator event covers the whole run, but the wake-up time and
-        busy accounting are accumulated with the same sequential float
-        additions as ``steps`` separate :meth:`_elapse` calls, so fused
-        API batches stay bit-identical in time to their unfused form.
-        """
-        core = self.core
-        if core.hung_slots:
-            if self._fused is not None:
-                yield from self._fused_flush()
-            yield from self._hang_check()
-        if seconds <= 0 or steps <= 0:
-            return
-        if self._fused is not None:
-            self._fused.extend([seconds] * steps)
-            return
-        busy = core.busy_time
-        slot = self.slot
-        sim = self.sim
-        target = t0 = sim.now
-        for _ in range(steps):
-            busy[slot] += seconds
-            target += seconds
-        yield sim.timeout_at(target)
-        if self._tracer is not None:
-            self._tracer.record(core.coord, slot, "busy", t0, sim.now)
-
     def _block(self, event):
         """Wait on an event, accounting the time as a stall (generator)."""
         if self._fused is not None:
@@ -224,6 +187,25 @@ class _CtxBase:
             self._tracer.record(core.coord, self.slot, "stall",
                                 t0, sim.now)
         return result
+
+    def _wait(self, test, block, n: int):
+        """Slow path of a blocking op whose fast path ``test(n)`` failed
+        (generator): ``block(n)`` builds the event to stall on.
+
+        Inside a fused region the pending charges are paid first and
+        ``test`` re-runs at the flushed (true) timestamp, so pages or
+        signals that arrived while the charges were pending count.  The
+        region then re-opens: it conceptually extends to ``fused_end()``,
+        and charges after a block accumulate from the resume instant
+        exactly as unfused ops would.
+        """
+        if self._fused is not None:
+            yield from self._fused_flush()
+            if not test(n):
+                yield from self._block(block(n))
+            self._fused = []
+        else:
+            yield from self._block(block(n))
 
     def dprint(self, message: str):
         """tt-metal DPRINT: visible (and costly) only with the print
@@ -259,18 +241,7 @@ class _CtxBase:
         yield from self._elapse(self.costs.cb_op)
         cb = self._cb(cb_id)
         if not cb.try_reserve(n):
-            if self._fused is not None:
-                # Re-test at the flushed (true) timestamp: pages freed
-                # while the region's charges were pending count.  The
-                # region re-opens afterwards — it conceptually extends to
-                # fused_end(), and charges after a block accumulate from
-                # the resume instant exactly as unfused ops would.
-                yield from self._fused_flush()
-                if not cb.try_reserve(n):
-                    yield from self._block(cb.reserve_back(n))
-                self._fused = []
-                return
-            yield from self._block(cb.reserve_back(n))
+            yield from self._wait(cb.try_reserve, cb.reserve_back, n)
 
     def cb_push_back(self, cb_id: int, n: int = 1):
         """Commit ``n`` reserved pages to the consumer side."""
@@ -282,13 +253,7 @@ class _CtxBase:
         yield from self._elapse(self.costs.cb_op)
         cb = self._cb(cb_id)
         if not cb.try_wait(n):
-            if self._fused is not None:
-                yield from self._fused_flush()
-                if not cb.try_wait(n):
-                    yield from self._block(cb.wait_front(n))
-                self._fused = []
-                return
-            yield from self._block(cb.wait_front(n))
+            yield from self._wait(cb.try_wait, cb.wait_front, n)
 
     def cb_pop_front(self, cb_id: int, n: int = 1):
         """Recycle ``n`` consumed pages."""
@@ -304,25 +269,24 @@ class _CtxBase:
         return self._cb(cb_id).get_read_ptr()
 
     # -- raw L1 access ------------------------------------------------------
-    def l1_store_u16(self, addr: int, values: np.ndarray):
-        """Store 16-bit words into L1 from the baby core (software fill).
+    def l1_store(self, addr: int, values: np.ndarray):
+        """Store 16- or 32-bit words into L1 from the baby core (software
+        fill), e.g. a scale-constant CB page at program start.
 
-        Used e.g. to fill the 0.25-constant scalar CB at program start.
-        Charged as one memcpy call.
+        ``values`` must be ``uint16`` (BF16 bits) or ``uint32`` (FP32
+        bits); the view keeps the word alignment check.  Charged as one
+        memcpy call of ``values.nbytes``.
         """
-        vals = np.asarray(values, dtype=np.uint16).ravel()
-        yield from self._elapse(self.costs.memcpy_time(vals.size * 2, calls=1))
-        self.core.sram.view_u16(addr, vals.size)[:] = vals
-
-    def l1_store_u32(self, addr: int, values: np.ndarray):
-        """Store 32-bit words into L1 (FP32 constant fills)."""
-        vals = np.asarray(values, dtype=np.uint32).ravel()
-        yield from self._elapse(self.costs.memcpy_time(vals.size * 4, calls=1))
-        self.core.sram.view_u32(addr, vals.size)[:] = vals
-
-    def l1_view_u16(self, addr: int, count: int) -> np.ndarray:
-        """A read/write 16-bit view of L1 (no time charged; RISC-V loads)."""
-        return self.core.sram.view_u16(addr, count)
+        vals = np.asarray(values).ravel()
+        if vals.dtype == np.uint16:
+            view = self.core.sram.view_u16
+        elif vals.dtype == np.uint32:
+            view = self.core.sram.view_u32
+        else:
+            raise KernelError(
+                f"l1_store takes uint16 or uint32 words, got {vals.dtype}")
+        yield from self._elapse(self.costs.memcpy_time(vals.nbytes, calls=1))
+        view(addr, vals.size)[:] = vals
 
     # -- semaphores ------------------------------------------------------------
     def _resolve_sem(self, sem):
@@ -352,13 +316,8 @@ class _CtxBase:
         yield from self._elapse(self.costs.semaphore_op)
         sem = self._resolve_sem(sem)
         if not sem.try_wait_at_least(value):
-            if self._fused is not None:
-                yield from self._fused_flush()
-                if not sem.try_wait_at_least(value):
-                    yield from self._block(sem.wait_at_least(value))
-                self._fused = []
-                return
-            yield from self._block(sem.wait_at_least(value))
+            yield from self._wait(sem.try_wait_at_least, sem.wait_at_least,
+                                  value)
 
 
 class DataMoverCtx(_CtxBase):
@@ -786,16 +745,3 @@ class ComputeCtx(_CtxBase):
         """
         yield from self._elapse(self.costs.cb_op)
         self._cb(cb_id).set_rd_ptr(l1_addr)
-
-    def cb_set_rd_ptrs(self, *assignments: tuple[int, int]):
-        """Batched ``cb_set_rd_ptr``: ``(cb_id, l1_addr)`` pairs.
-
-        The pointer pokes are consumer-private state (nothing else can
-        observe them between the individual ops), so the per-op charges
-        fuse into one simulator event via ``_elapse_steps`` — same final
-        timestamp and busy accounting, three fewer events per fused
-        4-pointer row in the optimised Jacobi kernel.
-        """
-        yield from self._elapse_steps(self.costs.cb_op, len(assignments))
-        for cb_id, l1_addr in assignments:
-            self._cb(cb_id).set_rd_ptr(l1_addr)

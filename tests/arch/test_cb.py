@@ -81,14 +81,14 @@ class TestProtocol:
         def producer():
             for i in range(8):  # wraps the 4-page ring twice
                 yield cb.reserve_back(1)
-                cb.back_view_u16()[:] = i
+                cb.back_view_bits()[:] = i
                 cb.push_back(1)
 
         def consumer():
             seen = []
             for _ in range(8):
                 yield cb.wait_front(1)
-                seen.append(int(cb.front_view_u16()[0]))
+                seen.append(int(cb.front_view_bits()[0]))
                 cb.pop_front(1)
             return seen
         sim.process(producer())
@@ -126,11 +126,11 @@ class TestRdPtrAlias:
 
         def proc():
             yield cb.reserve_back(1)
-            cb.back_view_u16()[:] = 0x1111
+            cb.back_view_bits()[:] = 0x1111
             cb.push_back(1)
             yield cb.wait_front(1)
             cb.set_rd_ptr(scratch)
-            vals = cb.front_view_u16().copy()
+            vals = cb.front_view_bits().copy()
             cb.pop_front(1)
             return vals
         vals = run_proc(sim, proc())
@@ -142,15 +142,15 @@ class TestRdPtrAlias:
 
         def proc():
             yield cb.reserve_back(2)
-            cb.back_view_u16(0)[:] = 1
-            cb.back_view_u16(1)[:] = 2
+            cb.back_view_bits(0)[:] = 1
+            cb.back_view_bits(1)[:] = 2
             cb.push_back(2)
             yield cb.wait_front(1)
             cb.set_rd_ptr(scratch)
             cb.pop_front(1)
             # next page must read from the CB's own storage again
             yield cb.wait_front(1)
-            val = int(cb.front_view_u16()[0])
+            val = int(cb.front_view_bits()[0])
             cb.pop_front(1)
             return val
         assert run_proc(sim, proc()) == 2
@@ -211,7 +211,7 @@ def test_cb_fifo_property(batches, n_pages):
         for b in batches:
             yield cb.reserve_back(b)
             for i in range(b):
-                cb.back_view_u16(i)[:] = k
+                cb.back_view_bits(i)[:] = k
                 k += 1
             cb.push_back(b)
             assert 0 <= cb.pages_free <= n_pages
@@ -220,7 +220,7 @@ def test_cb_fifo_property(batches, n_pages):
     def consumer():
         for _ in range(total):
             yield cb.wait_front(1)
-            seen.append(int(cb.front_view_u16()[0]))
+            seen.append(int(cb.front_view_bits()[0]))
             cb.pop_front(1)
     sim.process(producer())
     c = sim.process(consumer())

@@ -28,7 +28,7 @@ def rig(sim):
         cb = cbs[cb_id]
         cb.reserve_back(1)
         sim.run()
-        cb.back_view_u16()[:] = f32_to_bits(
+        cb.back_view_bits()[:] = f32_to_bits(
             np.asarray(values, dtype=np.float32)).ravel()
         cb.push_back(1)
     cbs[2].reserve_back(1)
@@ -179,7 +179,7 @@ class TestMatmul:
         fill(1, b.ravel())
         fpu.matmul_tiles(cbs[0], cbs[1], 0, 0, 0)
         fpu.pack_tile(0, cbs[2])
-        out = bits_to_f32(cbs[2].back_view_u16()).reshape(32, 32)
+        out = bits_to_f32(cbs[2].back_view_bits()).reshape(32, 32)
         want = bf16_round((bits_to_f32(f32_to_bits(a)).reshape(32, 32)
                            @ bits_to_f32(f32_to_bits(b)).reshape(32, 32)))
         assert np.array_equal(out, want)
@@ -201,7 +201,7 @@ class TestTranspose:
         fpu.transpose_tile(cbs[0], 0, 0)
         fpu.pack_tile(0, cbs[2])
         # transpose the packed transpose: back to (the BF16 rounding of) a
-        first = cbs[2].back_view_u16().copy()
+        first = cbs[2].back_view_bits().copy()
         cbs[2].push_back(1)
         fpu.transpose_tile(cbs[2], 0, 1)
         aq = bits_to_f32(first).reshape(32, 32).T
@@ -222,7 +222,7 @@ def test_matmul_transpose_identity_property(seed):
     for i, m in ((0, a), (1, b)):
         cbs[i].reserve_back(1)
         sim.run()
-        cbs[i].back_view_u16()[:] = f32_to_bits(m).ravel()
+        cbs[i].back_view_bits()[:] = f32_to_bits(m).ravel()
         cbs[i].push_back(1)
     fpu = Fpu()
     fpu.acquire_dst()

@@ -9,7 +9,6 @@ from repro.dtypes.tiles import (
     TILE_DIM,
     TILE_ELEMS,
     TILE_NBYTES,
-    Tile,
     domain_to_tiles,
     tiles_to_domain,
 )
@@ -20,42 +19,6 @@ class TestConstants:
         # 16384-bit SIMD at 16 bits/element = 1024 elements = 32x32
         assert TILE_DIM * TILE_DIM == TILE_ELEMS == 16384 // 16
         assert TILE_NBYTES == 2048
-
-
-class TestTile:
-    def test_from_bits_roundtrip(self, rng):
-        flat = rng.integers(0, 2 ** 16, TILE_ELEMS, dtype=np.uint16)
-        t = Tile.from_bits(flat)
-        assert np.array_equal(t.data.ravel(), flat)
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            Tile.from_bits(np.zeros(100, dtype=np.uint16))
-
-    def test_wrong_dtype_rejected(self):
-        with pytest.raises(ValueError):
-            Tile(np.zeros((32, 32), dtype=np.float32))
-
-    def test_bytes_roundtrip(self, rng):
-        flat = rng.integers(0, 2 ** 16, TILE_ELEMS, dtype=np.uint16)
-        t = Tile.from_bits(flat)
-        assert Tile.from_bytes(t.to_bytes()) == t
-
-    def test_byte_payload_little_endian(self):
-        t = Tile.filled(0x1234)
-        raw = t.to_bytes()
-        assert raw[0] == 0x34 and raw[1] == 0x12
-        assert len(raw) == TILE_NBYTES
-
-    def test_filled(self):
-        t = Tile.filled(0x3F80)
-        assert np.all(t.data == 0x3F80)
-
-    def test_equality_and_hash(self):
-        a, b = Tile.filled(1), Tile.filled(1)
-        assert a == b and hash(a) == hash(b)
-        assert a != Tile.filled(2)
-        assert a != "not a tile"
 
 
 class TestDomainTiling:
@@ -87,55 +50,3 @@ def test_tiling_is_a_bijection(ny, nx, seed):
     dom = rng.integers(0, 2 ** 16, (ny * TILE_DIM, nx * TILE_DIM),
                        dtype=np.uint16)
     assert np.array_equal(tiles_to_domain(domain_to_tiles(dom)), dom)
-
-
-class TestTilizedFormat:
-    """The real tt-metal 16x16-face DRAM layout (host interop)."""
-
-    def test_roundtrip(self, rng):
-        from repro.dtypes.tiles import tilize, untilize
-        m = rng.integers(0, 2 ** 16, (64, 96), dtype=np.uint16)
-        assert np.array_equal(untilize(tilize(m), 64, 96), m)
-
-    def test_face_order_within_a_tile(self):
-        from repro.dtypes.tiles import tilize
-        m = np.arange(32 * 32, dtype=np.uint16).reshape(32, 32)
-        flat = tilize(m)
-        # face 0 (rows 0-15, cols 0-15) comes first, row-major
-        assert flat[0] == m[0, 0]
-        assert flat[15] == m[0, 15]
-        assert flat[16] == m[1, 0]
-        # face 1 (rows 0-15, cols 16-31) starts at element 256
-        assert flat[256] == m[0, 16]
-        # face 2 (rows 16-31, cols 0-15) at 512
-        assert flat[512] == m[16, 0]
-        # face 3 at 768
-        assert flat[768] == m[16, 16]
-
-    def test_tile_order_row_major(self):
-        from repro.dtypes.tiles import tilize
-        m = np.zeros((32, 64), dtype=np.uint16)
-        m[0, 32] = 7  # first element of the second tile
-        flat = tilize(m)
-        assert flat[1024] == 7
-
-    def test_validation(self):
-        from repro.dtypes.tiles import tilize, untilize
-        with pytest.raises(ValueError):
-            tilize(np.zeros((30, 32), dtype=np.uint16))
-        with pytest.raises(ValueError):
-            untilize(np.zeros(1024, dtype=np.uint16), 32, 64)
-        with pytest.raises(ValueError):
-            untilize(np.zeros(1024, dtype=np.uint16), 31, 32)
-
-
-@settings(max_examples=30, deadline=None)
-@given(ty=st.integers(1, 3), tx=st.integers(1, 3), seed=st.integers(0, 999))
-def test_tilize_is_a_bijection(ty, tx, seed):
-    from repro.dtypes.tiles import tilize, untilize
-    rng = np.random.default_rng(seed)
-    m = rng.integers(0, 2 ** 16, (ty * TILE_DIM, tx * TILE_DIM),
-                     dtype=np.uint16)
-    flat = tilize(m)
-    assert flat.size == m.size
-    assert np.array_equal(untilize(flat, *m.shape), m)

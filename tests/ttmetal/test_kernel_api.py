@@ -366,3 +366,157 @@ class TestSramWriteMulticast:
             launch(device, [(bad, DATA_MOVER_0, {})], lint="off")
         assert isinstance(ei.value.__cause__, KernelError)
         assert "destination" in str(ei.value.__cause__)
+
+
+class TestL1Store:
+    def test_stores_16_and_32_bit_words(self, device):
+        got = {}
+
+        def filler(ctx):
+            l1 = ctx.core.sram.allocate(64, align=32)
+            yield from ctx.l1_store(l1, np.arange(4, dtype=np.uint16))
+            yield from ctx.l1_store(l1 + 32, np.arange(4, dtype=np.uint32))
+            got["u16"] = ctx.core.sram.view_u16(l1, 4).copy()
+            got["u32"] = ctx.core.sram.view_u32(l1 + 32, 4).copy()
+        launch(device, [(filler, DATA_MOVER_0, {})])
+        assert got["u16"].tolist() == got["u32"].tolist() == [0, 1, 2, 3]
+
+    def test_other_dtypes_are_a_kernel_error(self, device):
+        def bad(ctx):
+            l1 = ctx.core.sram.allocate(64, align=32)
+            yield from ctx.l1_store(l1, np.zeros(4, dtype=np.float32))
+
+        with pytest.raises(Exception) as ei:
+            launch(device, [(bad, DATA_MOVER_0, {})], lint="off")
+        assert isinstance(ei.value.__cause__, KernelError)
+
+
+#: CBs of the fused-region cases: one shared with the peer, one private
+#: to the waiter (its pointer installs are the pending charges)
+SHARED_CB, PRIVATE_CB = 0, 1
+#: pointer installs charged before and after the blocking op
+PENDING_OPS = 8
+ALIAS = 0x8000
+
+
+def _sleep(ctx, seconds):
+    yield ctx.sim.timeout(seconds)
+
+
+def _fused_case(op, fused, delay):
+    """The waiter (compute) and its peer (dm0) for one blocking ``op``.
+
+    The waiter charges ``PENDING_OPS`` pointer installs, runs ``op`` on
+    state the peer releases ``delay`` after it starts, and charges one
+    more install; with ``fused`` all of it sits in one fused region.
+    Returns the kernels and a dict that receives the waiter's resume
+    instant.
+    """
+    seen = {}
+
+    def installs(ctx, n):
+        for _ in range(n):
+            yield from ctx.cb_set_rd_ptr(PRIVATE_CB, ALIAS)
+
+    def blocking_op(ctx):
+        if op == "cb_wait_front":
+            yield from ctx.cb_wait_front(SHARED_CB, 1)
+        elif op == "cb_reserve_back":
+            yield from ctx.cb_reserve_back(SHARED_CB, 1)
+        else:
+            yield from ctx.semaphore_wait(0, 1)
+
+    def waiter(ctx):
+        if op == "cb_reserve_back":
+            # fill the one-page CB, so the reserve waits for the pop
+            yield from ctx.cb_reserve_back(SHARED_CB, 1)
+            yield from ctx.cb_push_back(SHARED_CB, 1)
+        if fused:
+            ctx.fused_begin()
+        yield from installs(ctx, PENDING_OPS)
+        yield from blocking_op(ctx)
+        yield from installs(ctx, 1)
+        if fused:
+            yield from ctx.fused_end()
+        seen["resume"] = ctx.sim.now
+        if op == "cb_wait_front":
+            yield from ctx.cb_pop_front(SHARED_CB, 1)
+        elif op == "cb_reserve_back":
+            yield from ctx.cb_push_back(SHARED_CB, 1)
+
+    def peer(ctx):
+        if op == "cb_wait_front":
+            yield from _sleep(ctx, delay)
+            yield from ctx.cb_reserve_back(SHARED_CB, 1)
+            yield from ctx.cb_push_back(SHARED_CB, 1)
+        elif op == "cb_reserve_back":
+            yield from ctx.cb_wait_front(SHARED_CB, 1)
+            yield from _sleep(ctx, delay)
+            yield from ctx.cb_pop_front(SHARED_CB, 1)
+            yield from ctx.cb_wait_front(SHARED_CB, 1)
+            yield from ctx.cb_pop_front(SHARED_CB, 1)
+        else:
+            yield from _sleep(ctx, delay)
+            yield from ctx.semaphore_inc(0, 1)
+
+    return [(waiter, COMPUTE, {}), (peer, DATA_MOVER_0, {})], seen
+
+
+class TestFusedRegions:
+    """A fused region coalesces charges into one event without moving
+    any instant: a blocking op inside one resumes, and the core's busy
+    and stall time add up, exactly as without the region."""
+
+    #: peer release delays: after the waiter's pending charges end (the
+    #: op blocks), or while they are pending (the re-test at the flushed
+    #: instant succeeds)
+    DELAYS = {"blocks": 40 * DEFAULT_COSTS.cb_op,
+              "pending": 2 * DEFAULT_COSTS.cb_op}
+
+    @staticmethod
+    def _run(device_factory, op, fused, delay):
+        dev = device_factory()
+        kernels, seen = _fused_case(op, fused, delay)
+        end = launch(dev, kernels, cbs=[(SHARED_CB, 64, 1),
+                                        (PRIVATE_CB, 64, 1)],
+                     sems=[(0, 0)], lint="off")
+        core = dev.core(0, 0)
+        return dict(resume=seen["resume"], end=end, now=dev.sim.now,
+                    busy=core.busy_time[COMPUTE],
+                    stall=core.stall_time[COMPUTE],
+                    events=dev.sim.events_processed)
+
+    @pytest.mark.parametrize("when", sorted(DELAYS))
+    @pytest.mark.parametrize("op", ["cb_reserve_back", "cb_wait_front",
+                                    "semaphore_wait"])
+    def test_fused_wait_keeps_every_instant(self, device_factory, op,
+                                            when):
+        plain = self._run(device_factory, op, False, self.DELAYS[when])
+        fused = self._run(device_factory, op, True, self.DELAYS[when])
+        assert (plain["stall"] > 0) == (when == "blocks")
+        for key in ("resume", "end", "now", "busy", "stall"):
+            assert fused[key] == plain[key], key
+        assert fused["events"] < plain["events"]
+
+    def test_pointer_installs_in_a_region_are_one_event(self,
+                                                        device_factory):
+        def run(n):
+            dev = device_factory()
+
+            def installer(ctx):
+                ctx.fused_begin()
+                for _ in range(n):
+                    yield from ctx.cb_set_rd_ptr(PRIVATE_CB, ALIAS)
+                yield from ctx.fused_end()
+            launch(dev, [(installer, COMPUTE, {})],
+                   cbs=[(PRIVATE_CB, 64, 1)], lint="off")
+            return (dev.sim.events_processed,
+                    dev.core(0, 0).busy_time[COMPUTE])
+
+        events_0, busy_0 = run(0)
+        events_n, busy_n = run(PENDING_OPS)
+        assert events_n == events_0 + 1
+        charged = 0.0
+        for _ in range(PENDING_OPS):
+            charged += DEFAULT_COSTS.cb_op
+        assert busy_0 == 0.0 and busy_n == charged
